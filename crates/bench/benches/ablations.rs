@@ -59,12 +59,13 @@ fn ite_cache_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Partitioned vs monolithic pre-image on the AFS-2 composition: the
-/// partitioned relational product never materialises the union relation.
+/// Scheduled vs monolithic pre-image on the AFS-2 composition: the
+/// scheduled relational product over the disjunctive partition never
+/// materialises the union relation.
 fn trans_partitioning(c: &mut Criterion) {
     let mut group = c.benchmark_group("trans_partitioning");
     for &n in &[2usize, 3, 4] {
-        group.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("scheduled", n), &n, |b, &n| {
             b.iter(|| {
                 let mut sys = cmc_afs::afs2::compile_system(n);
                 let init = sys.model.init();

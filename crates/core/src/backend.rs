@@ -29,7 +29,7 @@
 use cmc_bdd::BddStats;
 use cmc_ctl::{
     simulates_explicit, CheckError, Checker, ExplicitLimits, Formula, Restriction, SimError,
-    MAX_EXPLICIT_PROPS, MAX_SIM_PAIR_PROPS,
+    MAX_SIM_PAIR_PROPS,
 };
 use cmc_kripke::{Alphabet, SimulationOutcome, State, System};
 use cmc_symbolic::{
@@ -95,24 +95,6 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Resolve the policy on *width alone* — the pre-cost-model fallback,
-    /// kept for callers that have no [`Restriction`] in hand. The routed
-    /// path ([`BackendChoice::route`] / [`check_routed`]) supersedes this
-    /// wherever an initial condition is available.
-    pub fn select(self, width: usize) -> BackendKind {
-        match self {
-            BackendChoice::Explicit => BackendKind::Explicit,
-            BackendChoice::Symbolic => BackendKind::Symbolic,
-            BackendChoice::Auto => {
-                if width > MAX_EXPLICIT_PROPS {
-                    BackendKind::Symbolic
-                } else {
-                    BackendKind::Explicit
-                }
-            }
-        }
-    }
-
     /// Plan a backend for `target ⊨_r …` using the measured cost model.
     /// Deterministic in its inputs (the planned kind is what store keys
     /// hash), and recorded verbatim in [`CheckStats::route`]; the actual
@@ -404,7 +386,7 @@ pub struct CheckStats {
     /// Full BDD-manager counters for the check — allocation, live/peak
     /// nodes, bytes, cache and GC activity (symbolic only).
     pub bdd: Option<BddStats>,
-    /// How the transition structure was partitioned: conjunctive/disjunctive
+    /// How the transition structure was partitioned: disjunctive
     /// transition parts for the symbolic engine, CSR state blocks for the
     /// explicit engine (1 when it ran serially).
     pub partitions: usize,
@@ -640,9 +622,9 @@ pub struct SymbolicBackend {
     pub maintenance: Option<MaintenanceConfig>,
     /// Computed-table segment capacity, in entries.
     pub cache_capacity: Option<usize>,
-    /// Image strategy: partitioned early quantification (the default),
-    /// the memoised monolithic relation, or cost-driven scheduling.
-    /// `None` keeps the model default.
+    /// Image strategy: the cost-driven scheduled loop over the
+    /// disjunctive partition (the default) or the memoised monolithic
+    /// relation. `None` keeps the model default.
     pub image_mode: Option<ImageMode>,
     /// Merge/cost-model knobs for [`ImageMode::Scheduled`]. `None` keeps
     /// the model defaults.
@@ -666,7 +648,7 @@ impl SymbolicBackend {
 
     /// Pick the image strategy (builder style). Both modes compute the
     /// same sets; `Monolithic` exists as the measurable baseline the
-    /// partitioned product is benchmarked against.
+    /// scheduled product is benchmarked against.
     pub fn with_image_mode(mut self, mode: ImageMode) -> Self {
         self.image_mode = Some(mode);
         self
@@ -927,21 +909,6 @@ mod tests {
         let mut m = System::new(Alphabet::new([name]));
         m.add_transition_named(&[], &[name]);
         m
-    }
-
-    #[test]
-    fn auto_policy_crosses_at_the_explicit_limit() {
-        assert_eq!(BackendChoice::Auto.select(1), BackendKind::Explicit);
-        assert_eq!(
-            BackendChoice::Auto.select(MAX_EXPLICIT_PROPS),
-            BackendKind::Explicit
-        );
-        assert_eq!(
-            BackendChoice::Auto.select(MAX_EXPLICIT_PROPS + 1),
-            BackendKind::Symbolic
-        );
-        assert_eq!(BackendChoice::Explicit.select(1000), BackendKind::Explicit);
-        assert_eq!(BackendChoice::Symbolic.select(1), BackendKind::Symbolic);
     }
 
     #[test]

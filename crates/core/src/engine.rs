@@ -1444,7 +1444,10 @@ mod tests {
     fn forced_backends_agree_with_auto() {
         let e = rising_pair();
         let f = parse("x -> AX x").unwrap();
-        for choice in [BackendChoice::Explicit, BackendChoice::Symbolic] {
+        for (choice, kind) in [
+            (BackendChoice::Explicit, BackendKind::Explicit),
+            (BackendChoice::Symbolic, BackendKind::Symbolic),
+        ] {
             let forced = rising_pair().with_backend(choice);
             let cert = forced.prove(&Restriction::trivial(), &f).unwrap();
             assert!(cert.valid, "{choice:?}: {cert}");
@@ -1452,12 +1455,11 @@ mod tests {
                 cert.valid,
                 e.prove(&Restriction::trivial(), &f).unwrap().valid
             );
-            let expected = Some(choice.select(1));
             assert!(
                 cert.steps
                     .iter()
                     .filter(|s| s.backend.is_some())
-                    .all(|s| s.backend == expected),
+                    .all(|s| s.backend == Some(kind)),
                 "{choice:?} must pin every checked step: {cert}"
             );
         }

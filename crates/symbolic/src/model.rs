@@ -83,22 +83,19 @@ impl MaintenanceConfig {
 /// Which relational-product strategy the image operators use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ImageMode {
-    /// Per-partition early-quantified products over the local move
-    /// relations; frame conditions stay implicit and the product relation
-    /// is never built. The default.
+    /// Cost-driven quantification scheduling over the disjunctive
+    /// partitions: per-component local move relations (frames implicit,
+    /// the product relation never built) are pre-merged into clusters per
+    /// [`ScheduleConfig`], and images walk the clusters in a cost-model
+    /// order. Images distribute over the disjunctive union, so any
+    /// clustering and any order computes the same set; only per-call
+    /// overhead and peak live nodes differ. The default.
     #[default]
-    Partitioned,
+    Scheduled,
     /// One materialised monolithic relation (union of all partitions with
     /// their frames, memoised in a registry root) — the ablation baseline
     /// and one leg of the partition-conformance oracle.
     Monolithic,
-    /// Cost-driven quantification scheduling: partitions are pre-merged
-    /// into clusters (per [`ScheduleConfig`]) and images walk the clusters
-    /// in a cost-model order instead of declaration order. Semantically
-    /// identical to [`ImageMode::Partitioned`] — images distribute over
-    /// the disjunctive union, so any clustering and any order computes the
-    /// same set; only per-call overhead and peak live nodes differ.
-    Scheduled,
 }
 
 /// Cost-model and merge-policy knobs for [`ImageMode::Scheduled`].
@@ -581,7 +578,7 @@ impl SymbolicModel {
     /// variables. Verdict-invariant by construction (any plan computes the
     /// same images), so this can fire at any safe point.
     fn maybe_replan(&mut self) {
-        if self.image_mode != ImageMode::Scheduled {
+        if self.image_mode == ImageMode::Monolithic {
             return;
         }
         let Some(sched) = &self.schedule else { return };
@@ -771,41 +768,24 @@ impl SymbolicModel {
     /// `EX S` — predecessors of `S` under the transition relation
     /// (including the stutter move, so `S ⇒ EX S`).
     ///
-    /// In [`ImageMode::Partitioned`] (the default) this is the union of
-    /// the per-partition early-quantified products
-    /// ([`SymbolicModel::pre_image_part`]); the monolithic relation is
-    /// never built. [`ImageMode::Monolithic`] computes the same set
-    /// against the memoised product relation instead.
+    /// In [`ImageMode::Scheduled`] (the default) this is the union of the
+    /// per-cluster early-quantified products in schedule order (see
+    /// [`SymbolicModel::pre_image_part`] for the closed form); the
+    /// monolithic relation is never built. [`ImageMode::Monolithic`]
+    /// computes the same set against the memoised product relation.
     pub fn pre_exists(&mut self, s: Bdd) -> Bdd {
         match self.image_mode {
             ImageMode::Monolithic => self.pre_exists_monolithic(s),
-            ImageMode::Partitioned => {
-                let mut acc = s; // identity partition: S itself
-                for i in 0..self.trans_parts.len() {
-                    let img = self.pre_image_part(i, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
-            }
-            ImageMode::Scheduled => {
-                let plan = self.scheduled_plan();
-                let mut acc = s; // identity partition: S itself
-                for (rel_root, owned) in plan {
-                    let rel = self.mgr.root(rel_root);
-                    let img = self.pre_image_owned(rel, &owned, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
-            }
+            ImageMode::Scheduled => self.scheduled_union(s, Self::pre_image_owned),
         }
     }
 
     /// `EX S` computed against the **monolithic** transition relation
     /// (the union of all partitions with frames materialised as one BDD,
-    /// memoised across calls) instead of per-partition relational
-    /// products. Semantically identical to [`SymbolicModel::pre_exists`];
-    /// exists as the partitioning ablation and the monolithic leg of the
-    /// conformance oracle.
+    /// memoised across calls) instead of per-cluster relational products.
+    /// Semantically identical to [`SymbolicModel::pre_exists`]; exists as
+    /// the partitioning ablation and the monolithic leg of the conformance
+    /// oracle.
     pub fn pre_exists_monolithic(&mut self, s: Bdd) -> Bdd {
         let trans = self.full_trans_rooted();
         let s_next = self.mgr.rename(s, &self.cur_to_next);
@@ -824,39 +804,27 @@ impl SymbolicModel {
                 let img_next = self.mgr.and_exists(trans, s, cur_cube);
                 self.mgr.rename(img_next, &self.next_to_cur)
             }
-            ImageMode::Partitioned => {
-                let mut acc = s; // identity partition
-                for i in 0..self.trans_parts.len() {
-                    let img = self.post_image_part(i, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
-            }
-            ImageMode::Scheduled => {
-                let plan = self.scheduled_plan();
-                let mut acc = s; // identity partition
-                for (rel_root, owned) in plan {
-                    let rel = self.mgr.root(rel_root);
-                    let img = self.post_image_owned(rel, &owned, s);
-                    acc = self.mgr.or(acc, img);
-                }
-                acc
-            }
+            ImageMode::Scheduled => self.scheduled_union(s, Self::post_image_owned),
         }
     }
 
-    /// The cached schedule's cluster relations and owned sets, in
-    /// processing order — building the schedule on first use. Returns
-    /// registry handles so the plan stays valid across the images the
-    /// caller is about to run (no maintenance happens inside an image).
-    fn scheduled_plan(&mut self) -> Vec<(RootId, Vec<usize>)> {
+    /// `S ∪ ⋃_c image_c(S)` over the cached schedule's clusters in
+    /// processing order (building the schedule on first use) — the one
+    /// image loop. The schedule is moved out for the walk and put back,
+    /// so no cluster data is copied; no maintenance runs inside an image,
+    /// so its registry handles stay valid throughout.
+    fn scheduled_union(&mut self, s: Bdd, image: fn(&mut Self, Bdd, &[usize], Bdd) -> Bdd) -> Bdd {
         self.ensure_schedule();
-        let sched = self.schedule.as_ref().expect("schedule just built");
-        sched
-            .order
-            .iter()
-            .map(|&c| (sched.clusters[c].rel, sched.clusters[c].owned.clone()))
-            .collect()
+        let sched = self.schedule.take().expect("schedule just built");
+        let mut acc = s; // identity partition: S itself
+        for &c in &sched.order {
+            let cluster = &sched.clusters[c];
+            let rel = self.mgr.root(cluster.rel);
+            let img = image(self, rel, &cluster.owned, s);
+            acc = self.mgr.or(acc, img);
+        }
+        self.schedule = Some(sched);
+        acc
     }
 
     fn ensure_schedule(&mut self) {
@@ -1428,10 +1396,10 @@ mod partition_tests {
     use super::*;
     use cmc_kripke::{Alphabet, State, System};
 
-    /// pre_exists (partitioned) and pre_exists_monolithic agree on random
+    /// pre_exists (scheduled) and pre_exists_monolithic agree on random
     /// seeded systems — the ablation pair is semantically identical.
     #[test]
-    fn partitioned_and_monolithic_images_agree() {
+    fn scheduled_and_monolithic_images_agree() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
@@ -1467,7 +1435,7 @@ mod partition_tests {
         }
     }
 
-    /// With owned-variable partitions (implicit frames), partitioned and
+    /// With owned-variable partitions (implicit frames), scheduled and
     /// monolithic images agree in both directions, and the Monolithic
     /// image mode routes through the memoised product relation.
     #[test]
@@ -1493,12 +1461,12 @@ mod partition_tests {
             g.or(t0, t2)
         }];
         for s in sets {
-            let pre_part = m.pre_exists(s);
-            let post_part = m.post_exists(s);
+            let pre_sched = m.pre_exists(s);
+            let post_sched = m.post_exists(s);
             m.set_image_mode(ImageMode::Monolithic);
-            assert_eq!(m.pre_exists(s), pre_part, "pre images disagree");
-            assert_eq!(m.post_exists(s), post_part, "post images disagree");
-            m.set_image_mode(ImageMode::Partitioned);
+            assert_eq!(m.pre_exists(s), pre_sched, "pre images disagree");
+            assert_eq!(m.post_exists(s), post_sched, "post images disagree");
+            m.set_image_mode(ImageMode::Scheduled);
         }
     }
 
@@ -1548,10 +1516,10 @@ mod partition_tests {
         }
     }
 
-    /// `ImageMode::Scheduled` merges the tiny ring stations into fewer
-    /// clusters and still computes bit-identical images in both
-    /// directions; the schedule is cached and surfaced via
-    /// `schedule_stats`.
+    /// `ImageMode::Scheduled` (the default) merges the tiny ring stations
+    /// into fewer clusters and still computes images bit-identical to the
+    /// monolithic baseline in both directions; the schedule is cached and
+    /// surfaced via `schedule_stats`.
     #[test]
     fn scheduled_images_agree_and_merge_clusters() {
         let mut ring = Vec::new();
@@ -1571,12 +1539,12 @@ mod partition_tests {
             g.or(t0, t3)
         }];
         for s in sets {
-            let pre_part = m.pre_exists(s);
-            let post_part = m.post_exists(s);
+            let pre_sched = m.pre_exists(s);
+            let post_sched = m.post_exists(s);
+            m.set_image_mode(ImageMode::Monolithic);
+            assert_eq!(m.pre_exists(s), pre_sched, "scheduled pre disagrees");
+            assert_eq!(m.post_exists(s), post_sched, "scheduled post disagrees");
             m.set_image_mode(ImageMode::Scheduled);
-            assert_eq!(m.pre_exists(s), pre_part, "scheduled pre disagrees");
-            assert_eq!(m.post_exists(s), post_part, "scheduled post disagrees");
-            m.set_image_mode(ImageMode::Partitioned);
         }
         let stats = m.schedule_stats().expect("schedule was built");
         assert_eq!(stats.clusters_before, 6);
@@ -1606,15 +1574,9 @@ mod partition_tests {
         }
         let refs: Vec<&System> = ring.iter().collect();
         let mut m = SymbolicModel::from_components(&refs, &Alphabet::empty());
-        m.set_image_mode(ImageMode::Scheduled);
         m.set_schedule_config(ScheduleConfig::no_merging());
         let t0 = m.prop("t0").unwrap();
-        let baseline = {
-            m.set_image_mode(ImageMode::Partitioned);
-            let p = m.pre_exists(t0);
-            m.set_image_mode(ImageMode::Scheduled);
-            p
-        };
+        let baseline = m.pre_exists_monolithic(t0);
         assert_eq!(m.pre_exists(t0), baseline);
         let stats = m.schedule_stats().unwrap();
         assert_eq!(stats.clusters_after, stats.clusters_before);

@@ -1,21 +1,27 @@
 //! `cmc-testkit` — the differential conformance harness.
 //!
-//! Three independent evaluators exist for the paper's restricted
-//! satisfaction relation `M ⊨_r f`: the explicit checker (`cmc-ctl`), the
-//! symbolic checker (`cmc-symbolic`), and this crate's deliberately naïve
-//! [`RefEvaluator`] written straight from §2.2's path semantics. This
-//! crate generates seeded obligations, runs all three, replays every
-//! witness and certificate against the transition relation, and shrinks
-//! any disagreement to a minimal replayable repro.
+//! Independent evaluators exist for the paper's restricted satisfaction
+//! relation `M ⊨_r f`: the explicit checker (`cmc-ctl`), the symbolic
+//! checker (`cmc-symbolic`) in each of its image strategies, and this
+//! crate's deliberately naïve [`RefEvaluator`] written straight from
+//! §2.2's path semantics. This crate generates seeded obligations, runs
+//! them through one differential harness ([`Oracle`]) over a list of named
+//! legs, replays every witness and certificate against the transition
+//! relation, and shrinks any disagreement to a minimal replayable repro.
 //!
 //! Entry points:
 //!
-//! * [`gen_obligation`] — deterministic obligation from a `u64` seed;
-//! * [`run_obligation`] — the three-way differential check;
+//! * [`gen_obligation`] / [`gen_partitioned_obligation`] — deterministic
+//!   obligations from a `u64` seed;
+//! * [`Oracle::three_way`] — legs `explicit` and `symbolic`, plus the
+//!   reference;
+//! * [`Oracle::partition`] — the five-way oracle: legs `scheduled`,
+//!   `unmerged`, `monolithic` and `blocked`, plus the reference;
 //! * [`validate_witness`] / [`validate_verdict`] /
 //!   [`validate_certificate`] / [`replay_store`] — the replay validators;
 //! * `cargo run -p cmc-testkit --release -- --seed N --iters K` — the
-//!   fuzz binary ([`fuzz`]); `--corpus` replays `corpus/seeds.txt`.
+//!   fuzz binary ([`fuzz`]); `--corpus` replays `corpus/seeds.txt`, and
+//!   `--partition` switches both to the five-way oracle.
 
 #![warn(missing_docs)]
 
@@ -29,9 +35,8 @@ pub use gen::{
     Obligation, SimPair, SimPairKind, Stratum,
 };
 pub use oracle::{
-    run_obligation, run_obligation_with, run_quad_obligation, run_sim_pair, run_wide_obligation,
-    shrink, shrink_quad, shrink_with, Disagreement, OracleOutcome, QuadDisagreement, QuadOutcome,
-    QuadVerdict, SimOracleOutcome, TripleVerdict, WideOutcome, WideVerdict,
+    run_sim_pair, run_wide_obligation, Disagreement, LegVerdicts, Oracle, OracleOutcome,
+    SimOracleOutcome, WideOutcome, WideVerdict,
 };
 pub use reference::{
     naive_simulates, NaiveSimulation, RefError, RefEvaluator, NAIVE_SIM_MAX_PROPS,
@@ -73,59 +78,10 @@ pub fn partition_corpus_seeds() -> Vec<u64> {
         .collect()
 }
 
-/// Result of a partition-conformance fuzzing run.
-#[derive(Debug)]
-pub struct PartitionFuzzReport {
-    /// Obligations whose four verdicts agreed (witnesses replayed).
-    pub agreed: usize,
-    /// Obligations skipped (backend limits).
-    pub skipped: usize,
-    /// The first five-way disagreement found, if any.
-    pub failure: Option<QuadDisagreement>,
-}
-
-/// Run `iters` seeded **partitioned** obligations (overlapping-alphabet
-/// component sets from [`gen_partitioned_obligation`]) through the
-/// five-way oracle, stopping at the first disagreement.
-pub fn partition_fuzz(
-    seed0: u64,
-    iters: u64,
-    mut progress: impl FnMut(&str),
-) -> PartitionFuzzReport {
-    let cfg = GenConfig::default();
-    let mut report = PartitionFuzzReport {
-        agreed: 0,
-        skipped: 0,
-        failure: None,
-    };
-    for i in 0..iters {
-        let seed = seed0.wrapping_add(i);
-        let o = gen_partitioned_obligation(seed, &cfg);
-        match run_quad_obligation(&o) {
-            QuadOutcome::Agree(_) => report.agreed += 1,
-            QuadOutcome::Skipped(why) => {
-                report.skipped += 1;
-                progress(&format!("seed {seed}: skipped ({why})"));
-            }
-            QuadOutcome::Disagree(d) => {
-                report.failure = Some(*d);
-                return report;
-            }
-        }
-        if (i + 1) % 100 == 0 {
-            progress(&format!(
-                "{}/{iters} partitioned obligations checked",
-                i + 1
-            ));
-        }
-    }
-    report
-}
-
 /// Result of a fuzzing run.
 #[derive(Debug)]
 pub struct FuzzReport {
-    /// Obligations whose three verdicts agreed (witnesses replayed).
+    /// Obligations on which every evaluator agreed (witnesses replayed).
     pub agreed: usize,
     /// Obligations skipped (backend limits).
     pub skipped: usize,
@@ -133,21 +89,24 @@ pub struct FuzzReport {
     pub failure: Option<Disagreement>,
 }
 
-/// Run `iters` seeded obligations starting at `seed0`, stopping at the
-/// first disagreement. Progress lines go through `progress` (pass a no-op
-/// closure for quiet runs).
-pub fn fuzz(seed0: u64, iters: u64, mut progress: impl FnMut(&str)) -> FuzzReport {
+/// Run the obligations `gen` draws from `seeds` through `oracle`,
+/// stopping at the first disagreement. Progress lines go through
+/// `progress` (pass a no-op closure for quiet runs).
+pub fn fuzz(
+    oracle: &Oracle,
+    gen: fn(u64, &GenConfig) -> Obligation,
+    seeds: impl IntoIterator<Item = u64>,
+    mut progress: impl FnMut(&str),
+) -> FuzzReport {
     let cfg = GenConfig::default();
     let mut report = FuzzReport {
         agreed: 0,
         skipped: 0,
         failure: None,
     };
-    for i in 0..iters {
-        let seed = seed0.wrapping_add(i);
-        let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => report.agreed += 1,
+    for (i, seed) in seeds.into_iter().enumerate() {
+        match oracle.run(&gen(seed, &cfg)) {
+            OracleOutcome::Agree { .. } => report.agreed += 1,
             OracleOutcome::Skipped(why) => {
                 report.skipped += 1;
                 progress(&format!("seed {seed}: skipped ({why})"));
@@ -158,7 +117,7 @@ pub fn fuzz(seed0: u64, iters: u64, mut progress: impl FnMut(&str)) -> FuzzRepor
             }
         }
         if (i + 1) % 100 == 0 {
-            progress(&format!("{}/{iters} obligations checked", i + 1));
+            progress(&format!("{} obligations checked", i + 1));
         }
     }
     report
@@ -320,12 +279,15 @@ mod tests {
 
     #[test]
     fn soak_session_stays_bounded() {
-        let report = soak(7, 60, |_| {}).expect("soak session failed");
-        assert_eq!(report.checked, 60);
+        // Long enough to cross the collector's threshold several times:
+        // the session allocates roughly 60–75 nodes per formula against a
+        // threshold of SOAK_LIVE_BOUND / 8 = 4096 nodes.
+        let report = soak(7, 300, |_| {}).expect("soak session failed");
+        assert_eq!(report.checked, 300);
         assert!(report.peak_live_nodes <= report.live_bound);
         assert!(
             report.gc_runs > 0,
-            "a 60-formula soak should have collected at least once"
+            "a 300-formula soak should have collected at least once"
         );
         assert!(
             report.nodes_allocated > report.peak_live_nodes,

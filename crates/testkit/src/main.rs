@@ -3,24 +3,27 @@
 //! ```text
 //! cargo run -p cmc-testkit --release -- --seed N --iters K   # fresh seeds
 //! cargo run -p cmc-testkit --release -- --corpus             # regression corpus
+//! cargo run -p cmc-testkit --release -- --partition          # five-way partition oracle
 //! cargo run -p cmc-testkit --release -- --soak N             # one shared symbolic session
 //! cargo run -p cmc-testkit --release -- --sim N              # simulation-pair differential
-//! cargo run -p cmc-testkit --release -- --partition          # five-way partition oracle
 //! ```
 //!
-//! Exit status 0 means every obligation ran through the explicit backend,
-//! the symbolic backend, and the reference evaluator in full agreement
-//! with all witnesses replaying; status 1 means a disagreement was found
-//! and a shrunk repro (with its `--seed`) was printed; status 2 is a
-//! usage error. `--soak N` instead drives N seeded formulas through one
-//! long-lived symbolic session and fails (status 1) if the BDD live-node
-//! high-water mark ever crosses the soak bound — the leak check for the
-//! memory kernel\'s garbage collector.
+//! By default obligations run through the three-way oracle (legs
+//! `explicit` and `symbolic`, plus the reference evaluator);
+//! `--partition` draws multi-component obligations and runs the five-way
+//! oracle (legs `scheduled`, `unmerged`, `monolithic` and `blocked`, plus
+//! the reference). Exit status 0 means every leg agreed with all witnesses
+//! replaying; status 1 means a disagreement was found and a shrunk repro
+//! (with its `--seed`) was printed; status 2 is a usage error. `--soak N`
+//! instead drives N seeded formulas through one long-lived symbolic
+//! session and fails (status 1) if the BDD live-node high-water mark ever
+//! crosses the soak bound — the leak check for the memory kernel\'s
+//! garbage collector.
 
+use cmc_core::SymbolicBackend;
 use cmc_testkit::{
     corpus_seeds, fuzz, gen_obligation, gen_partitioned_obligation, partition_corpus_seeds,
-    partition_fuzz, run_obligation, run_quad_obligation, sim_fuzz, soak, GenConfig, OracleOutcome,
-    QuadOutcome,
+    sim_fuzz, soak, Oracle,
 };
 
 struct Args {
@@ -33,7 +36,9 @@ struct Args {
 }
 
 const USAGE: &str =
-    "usage: cmc-testkit [--seed N] [--iters K] [--corpus] [--soak N] [--sim N] [--partition]";
+    "usage: cmc-testkit [--seed N] [--iters K] [--corpus] [--soak N] [--sim N] [--partition]
+  default:     three-way oracle (explicit, symbolic, reference)
+  --partition: five-way oracle (scheduled, unmerged, monolithic, blocked, reference)";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -127,71 +132,38 @@ fn main() {
         return;
     }
 
-    if args.partition && args.corpus {
-        let seeds = partition_corpus_seeds();
-        println!("replaying {} partition corpus seeds", seeds.len());
-        let cfg = GenConfig::default();
-        let mut agreed = 0usize;
-        for seed in seeds {
-            let o = gen_partitioned_obligation(seed, &cfg);
-            match run_quad_obligation(&o) {
-                QuadOutcome::Agree(_) => agreed += 1,
-                QuadOutcome::Skipped(why) => println!("seed {seed}: skipped ({why})"),
-                QuadOutcome::Disagree(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        println!("partition corpus clean: {agreed} obligations, five-way agreement everywhere");
-        return;
-    }
-
-    if args.partition {
+    let (oracle, gen, corpus, ways) = if args.partition {
+        (
+            Oracle::partition(),
+            gen_partitioned_obligation as fn(u64, &_) -> _,
+            partition_corpus_seeds(),
+            "five-way",
+        )
+    } else {
+        (
+            Oracle::three_way(SymbolicBackend::default()),
+            gen_obligation as fn(u64, &_) -> _,
+            corpus_seeds(),
+            "three-way",
+        )
+    };
+    let seeds: Vec<u64> = if args.corpus {
+        println!("replaying {} corpus seeds ({ways} oracle)", corpus.len());
+        corpus
+    } else {
         println!(
-            "fuzzing {} partitioned obligations from seed {} (five-way oracle)",
+            "fuzzing {} obligations from seed {} ({ways} oracle)",
             args.iters, args.seed
         );
-        let report = partition_fuzz(args.seed, args.iters, |line| println!("{line}"));
-        if let Some(d) = report.failure {
-            eprintln!("{d}");
-            std::process::exit(1);
-        }
-        println!(
-            "done: {} agreed, {} skipped, five-way agreement everywhere",
-            report.agreed, report.skipped
-        );
-        return;
-    }
-
-    if args.corpus {
-        let seeds = corpus_seeds();
-        println!("replaying {} corpus seeds", seeds.len());
-        let cfg = GenConfig::default();
-        let mut agreed = 0usize;
-        for seed in seeds {
-            let o = gen_obligation(seed, &cfg);
-            match run_obligation(&o) {
-                OracleOutcome::Agree(_) => agreed += 1,
-                OracleOutcome::Skipped(why) => println!("seed {seed}: skipped ({why})"),
-                OracleOutcome::Disagree(d) => {
-                    eprintln!("{d}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        println!("corpus clean: {agreed} obligations, three-way agreement everywhere");
-        return;
-    }
-
-    println!("fuzzing {} obligations from seed {}", args.iters, args.seed);
-    let report = fuzz(args.seed, args.iters, |line| println!("{line}"));
+        (0..args.iters).map(|i| args.seed.wrapping_add(i)).collect()
+    };
+    let report = fuzz(&oracle, gen, seeds, |line| println!("{line}"));
     if let Some(d) = report.failure {
         eprintln!("{d}");
         std::process::exit(1);
     }
     println!(
-        "done: {} agreed, {} skipped, no disagreements",
+        "done: {} agreed, {} skipped, {ways} agreement everywhere",
         report.agreed, report.skipped
     );
 }

@@ -1,340 +1,337 @@
-//! The three-way differential oracle.
+//! The differential oracles.
 //!
-//! Every obligation runs through the explicit backend, the symbolic
-//! backend, and the independent [`RefEvaluator`](crate::RefEvaluator)
-//! written straight from the paper's restriction semantics. A 2-vs-1
-//! split is a bug in *somebody*; the oracle shrinks the obligation to a
-//! minimal disagreeing pair and reports it with a replayable seed.
+//! One harness ([`Oracle`]) runs every obligation through a list of named
+//! production legs and the independent [`RefEvaluator`] written straight
+//! from the paper's restriction semantics. Two leg lists are in use:
+//!
+//! * [`Oracle::three_way`] — `explicit` and `symbolic`, plus the
+//!   reference;
+//! * [`Oracle::partition`] — the five-way partition-conformance oracle:
+//!   `scheduled` (the default quantification schedule), `unmerged` (the
+//!   same loop with [`ScheduleConfig::no_merging`]), `monolithic` (the
+//!   memoised product relation), `blocked` (block-parallel explicit
+//!   kernels), plus the reference.
+//!
+//! Any split, sat-count mismatch, witness that fails to replay, or
+//! symbolic leg that is not bit-identical to the other symbolic legs is a
+//! bug in *somebody*; the oracle shrinks the obligation to a minimal
+//! disagreeing one and reports it with a replayable seed. The wide and
+//! simulation oracles below have no reference evaluator and stay
+//! separate.
 
 use crate::gen::{Obligation, SimPair};
 use crate::reference::{naive_simulates, RefEvaluator};
 use crate::validate::{validate_verdict, ValidationError};
-use cmc_core::{Backend, BackendError, ExplicitBackend, SymbolicBackend, Target};
+use cmc_core::{Backend, BackendError, ExplicitBackend, SymbolicBackend, Target, Verdict};
 use cmc_ctl::{simulates_explicit, Formula, Restriction};
 use cmc_kripke::{SimulationOutcome, System};
-use cmc_symbolic::{simulates_symbolic, ImageMode};
+use cmc_symbolic::{simulates_symbolic, ImageMode, ScheduleConfig};
 use std::fmt;
 
-/// The three verdicts for one obligation, in a fixed order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TripleVerdict {
-    /// The explicit backend's `holds`.
-    pub explicit: bool,
-    /// The symbolic backend's `holds`.
-    pub symbolic: bool,
-    /// The reference evaluator's `holds`.
-    pub reference: bool,
+/// One named production leg of an [`Oracle`].
+#[derive(Debug, Clone, Copy)]
+enum Leg {
+    Explicit(&'static str, ExplicitBackend),
+    /// Every symbolic leg of one oracle must be bit-identical to the
+    /// others in witnesses and sat counts.
+    Symbolic(&'static str, SymbolicBackend),
 }
 
-impl TripleVerdict {
-    /// Do all three evaluators agree?
-    pub fn agrees(&self) -> bool {
-        self.explicit == self.symbolic && self.symbolic == self.reference
+impl Leg {
+    fn name(&self) -> &'static str {
+        match self {
+            Leg::Explicit(name, _) | Leg::Symbolic(name, _) => name,
+        }
+    }
+
+    fn check(
+        &self,
+        target: &Target,
+        r: &Restriction,
+        f: &Formula,
+    ) -> Result<Verdict, BackendError> {
+        match self {
+            Leg::Explicit(_, b) => b.check(target, r, f),
+            Leg::Symbolic(_, b) => b.check(target, r, f),
+        }
     }
 }
 
-/// A confirmed, shrunk disagreement between the evaluators.
+/// Each evaluator's `holds`, by leg name, the reference last.
+pub type LegVerdicts = Vec<(&'static str, bool)>;
+
+/// Worker cap for the blocked-explicit leg of the partition oracle. The
+/// blocked kernels only engage above the parallel-universe threshold;
+/// below it this is exercised-but-serial, which is exactly the production
+/// routing.
+const BLOCKED_EXPLICIT_WORKERS: usize = 4;
+
+/// A differential oracle: named legs held against the reference
+/// evaluator.
+#[derive(Debug, Clone)]
+pub struct Oracle {
+    /// The production legs, in report order.
+    legs: Vec<Leg>,
+    /// The `cmc-testkit` flags that replay this oracle's seeds.
+    replay: &'static str,
+}
+
+impl Oracle {
+    /// The three-way oracle: the explicit backend and the symbolic backend
+    /// `sym` (the caller's configuration, e.g. a forced maintenance
+    /// policy) against the reference.
+    pub fn three_way(sym: SymbolicBackend) -> Oracle {
+        Oracle {
+            legs: vec![
+                Leg::Explicit("explicit", ExplicitBackend::default()),
+                Leg::Symbolic("symbolic", sym),
+            ],
+            replay: "",
+        }
+    }
+
+    /// The five-way partition-conformance oracle: scheduled, unmerged
+    /// scheduled, monolithic and blocked-explicit legs against the
+    /// reference.
+    pub fn partition() -> Oracle {
+        let sym = SymbolicBackend::default();
+        Oracle {
+            legs: vec![
+                Leg::Symbolic("scheduled", sym),
+                Leg::Symbolic("unmerged", sym.with_schedule(ScheduleConfig::no_merging())),
+                Leg::Symbolic("monolithic", sym.with_image_mode(ImageMode::Monolithic)),
+                Leg::Explicit(
+                    "blocked",
+                    ExplicitBackend::default().with_workers(BLOCKED_EXPLICIT_WORKERS),
+                ),
+            ],
+            replay: "--partition ",
+        }
+    }
+
+    /// Run every leg and the reference on one obligation. Returns each
+    /// evaluator's `holds` (the reference last) and the notes: sat counts
+    /// that differ from the reference, witnesses that fail to replay, and
+    /// symbolic legs that are not bit-identical to each other. `Err` means
+    /// the obligation could not run (e.g. a width limit).
+    fn check(
+        &self,
+        systems: &[System],
+        r: &Restriction,
+        f: &Formula,
+    ) -> Result<(LegVerdicts, Vec<String>), String> {
+        let target = Target::composition(systems.to_vec());
+        let verdicts = self
+            .legs
+            .iter()
+            .map(|leg| Ok((leg, leg.check(&target, r, f).map_err(|e| e.to_string())?)))
+            .collect::<Result<Vec<_>, String>>()?;
+
+        let product = target.materialize();
+        let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
+        let (ref_holds, _) = reference.check(r, f).map_err(|e| e.to_string())?;
+        let ref_count = reference
+            .sat_count(f, &r.fairness)
+            .map_err(|e| e.to_string())?;
+
+        let mut notes = Vec::new();
+        for (leg, v) in &verdicts {
+            let name = leg.name();
+            if let Some(n) = v.sat_states {
+                if n != ref_count {
+                    notes.push(format!(
+                        "{name} reports {n} satisfying states, reference counts {ref_count}"
+                    ));
+                }
+            }
+            // A reported witness must be an I-state refuting f.
+            if let Err(err) = validate_verdict(&product, r, f, v) {
+                notes.push(format!("{name}: {err}"));
+            }
+        }
+
+        // Symbolic legs differ only in how images are computed, so their
+        // verdicts must be *bit-identical*, not merely agree on `holds`.
+        let mut symbolic = verdicts
+            .iter()
+            .filter(|(leg, _)| matches!(leg, Leg::Symbolic(..)));
+        if let Some((first, base)) = symbolic.next() {
+            for (leg, v) in symbolic {
+                if v.violating != base.violating {
+                    notes.push(format!(
+                        "{} and {} witness sets differ",
+                        leg.name(),
+                        first.name()
+                    ));
+                }
+                if v.sat_states != base.sat_states {
+                    notes.push(format!(
+                        "{} counts {:?} satisfying states, {} {:?}",
+                        leg.name(),
+                        v.sat_states,
+                        first.name(),
+                        base.sat_states
+                    ));
+                }
+            }
+        }
+
+        let mut holds: LegVerdicts = verdicts
+            .iter()
+            .map(|(leg, v)| (leg.name(), v.holds))
+            .collect();
+        holds.push(("reference", ref_holds));
+        Ok((holds, notes))
+    }
+
+    fn is_buggy(&self, systems: &[System], r: &Restriction, f: &Formula) -> bool {
+        match self.check(systems, r, f) {
+            Ok((v, notes)) => !agrees(&v) || !notes.is_empty(),
+            Err(_) => false,
+        }
+    }
+
+    /// Greedily shrink `o` while the disagreement persists. Each pass
+    /// tries, in order: **coarsening** the partition (merging two adjacent
+    /// components into their interleaving product), replacing the formula
+    /// by a subformula, dropping a fairness constraint, widening init to
+    /// `True`, and deleting single transitions; passes repeat until a
+    /// fixpoint. Coarsening runs first because fewer components shrink
+    /// every later pass's search space; a split that survives it down to
+    /// one component is an engine bug independent of the partitioning,
+    /// and one that vanishes pinpoints the partition handling itself.
+    pub fn shrink(&self, o: &Obligation) -> Obligation {
+        let mut cur = o.clone();
+        loop {
+            let mut progressed = false;
+
+            for i in 0..cur.systems.len().saturating_sub(1) {
+                let mut systems = cur.systems.clone();
+                let merged = systems[i].compose(&systems[i + 1]);
+                systems[i] = merged;
+                systems.remove(i + 1);
+                if self.is_buggy(&systems, &cur.restriction, &cur.formula) {
+                    cur.systems = systems;
+                    progressed = true;
+                    break;
+                }
+            }
+
+            for sub in subformulas(&cur.formula) {
+                if self.is_buggy(&cur.systems, &cur.restriction, &sub) {
+                    cur.formula = sub;
+                    progressed = true;
+                    break;
+                }
+            }
+
+            for i in 0..cur.restriction.fairness.len() {
+                let mut fair = cur.restriction.fairness.clone();
+                fair.remove(i);
+                // Dropping the last constraint re-installs the trivial
+                // `{true}`, which is no progress.
+                let r = Restriction::new(cur.restriction.init.clone(), fair);
+                if r != cur.restriction && self.is_buggy(&cur.systems, &r, &cur.formula) {
+                    cur.restriction = r;
+                    progressed = true;
+                    break;
+                }
+            }
+
+            if cur.restriction.init != Formula::True {
+                let r = Restriction::new(Formula::True, cur.restriction.fairness.clone());
+                if self.is_buggy(&cur.systems, &r, &cur.formula) {
+                    cur.restriction = r;
+                    progressed = true;
+                }
+            }
+
+            // One sweep per component: a deletion that keeps the split
+            // leaves the index in place (the next transition slid into
+            // it), so a coarsened product shrinks in O(transitions)
+            // checks per pass.
+            for si in 0..cur.systems.len() {
+                let mut ti = 0;
+                while ti < cur.systems[si].proper_transitions().count() {
+                    let mut systems = cur.systems.clone();
+                    systems[si] = without_transition(&systems[si], ti);
+                    if self.is_buggy(&systems, &cur.restriction, &cur.formula) {
+                        cur.systems = systems;
+                        progressed = true;
+                    } else {
+                        ti += 1;
+                    }
+                }
+            }
+
+            if !progressed {
+                return cur;
+            }
+        }
+    }
+
+    /// Run one obligation through every leg and the reference,
+    /// cross-validating counts and witnesses, shrinking on any
+    /// disagreement.
+    pub fn run(&self, o: &Obligation) -> OracleOutcome {
+        match self.check(&o.systems, &o.restriction, &o.formula) {
+            Err(e) => OracleOutcome::Skipped(e),
+            Ok((v, notes)) if agrees(&v) && notes.is_empty() => {
+                OracleOutcome::Agree { holds: v[0].1 }
+            }
+            Ok(_) => {
+                let shrunk = self.shrink(o);
+                let (verdicts, notes) = self
+                    .check(&shrunk.systems, &shrunk.restriction, &shrunk.formula)
+                    .unwrap_or_else(|e| {
+                        (
+                            Vec::new(),
+                            vec![format!("shrunk obligation failed to re-run: {e}")],
+                        )
+                    });
+                OracleOutcome::Disagree(Box::new(Disagreement {
+                    seed: o.seed,
+                    verdicts,
+                    shrunk,
+                    notes,
+                    replay: self.replay,
+                }))
+            }
+        }
+    }
+}
+
+/// Do all evaluators return the same `holds`?
+fn agrees(verdicts: &LegVerdicts) -> bool {
+    verdicts.windows(2).all(|w| w[0].1 == w[1].1)
+}
+
+/// A confirmed, shrunk disagreement between an oracle's evaluators.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
     /// Seed that produced the original obligation.
     pub seed: u64,
-    /// The verdict split on the *shrunk* obligation.
-    pub verdicts: TripleVerdict,
-    /// The shrunk minimal obligation still exhibiting the split.
+    /// Each evaluator's `holds` on the *shrunk* obligation.
+    pub verdicts: LegVerdicts,
+    /// The shrunk minimal obligation still exhibiting the disagreement —
+    /// coarsened to the fewest components that still disagree.
     pub shrunk: Obligation,
     /// Ancillary detail (witness-replay failures, count mismatches).
     pub notes: Vec<String>,
+    /// The `cmc-testkit` flags that replay the oracle's seeds (empty, or
+    /// `--partition `).
+    pub replay: &'static str,
 }
 
 impl fmt::Display for Disagreement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== DIFFERENTIAL DISAGREEMENT ===")?;
-        writeln!(
-            f,
-            "verdicts: explicit={} symbolic={} reference={}",
-            self.verdicts.explicit, self.verdicts.symbolic, self.verdicts.reference
-        )?;
-        writeln!(f, "formula:  {}", self.shrunk.formula)?;
-        writeln!(f, "init:     {}", self.shrunk.restriction.init)?;
-        for (i, c) in self.shrunk.restriction.fairness.iter().enumerate() {
-            writeln!(f, "fair[{i}]:  {c}")?;
-        }
-        for (i, m) in self.shrunk.systems.iter().enumerate() {
-            let alpha = m.alphabet().names().join(",");
-            writeln!(f, "system[{i}] over {{{alpha}}}:")?;
-            for (s, t) in m.proper_transitions() {
-                writeln!(
-                    f,
-                    "  {} -> {}",
-                    s.display(m.alphabet()),
-                    t.display(m.alphabet())
-                )?;
-            }
-        }
-        for n in &self.notes {
-            writeln!(f, "note: {n}")?;
-        }
-        writeln!(
-            f,
-            "replay:   cargo run -p cmc-testkit -- --seed {}",
-            self.seed
-        )
-    }
-}
-
-/// Outcome of running one obligation through the oracle.
-#[derive(Debug)]
-pub enum OracleOutcome {
-    /// All three evaluators agree (and every witness replayed cleanly).
-    Agree(TripleVerdict),
-    /// Somebody is wrong; here is the shrunk evidence.
-    Disagree(Box<Disagreement>),
-    /// The obligation could not be run (e.g. backend limit) — skipped.
-    Skipped(String),
-}
-
-fn check_three(
-    systems: &[System],
-    r: &Restriction,
-    f: &Formula,
-    sym: SymbolicBackend,
-) -> Result<(TripleVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.to_vec());
-    let explicit = ExplicitBackend::default()
-        .check(&target, r, f)
-        .map_err(|e: BackendError| e.to_string())?;
-    let symbolic = sym.check(&target, r, f).map_err(|e| e.to_string())?;
-
-    let product = target.materialize();
-    let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
-    let (ref_holds, _ref_violating) = reference.check(r, f).map_err(|e| e.to_string())?;
-
-    let mut notes = Vec::new();
-
-    // Exact satisfying-state counts must match the reference wherever a
-    // backend offers one.
-    let ref_count = reference
-        .sat_count(f, &r.fairness)
-        .map_err(|e| e.to_string())?;
-    for v in [&explicit, &symbolic] {
-        if let Some(n) = v.sat_states {
-            if n != ref_count {
-                notes.push(format!(
-                    "{} reports {} satisfying states, reference counts {}",
-                    v.stats.backend.name(),
-                    n,
-                    ref_count
-                ));
-            }
-        }
-    }
-
-    // Replay each backend's violating witnesses against the reference
-    // semantics: a reported witness must be an I-state refuting f.
-    for v in [&explicit, &symbolic] {
-        if let Err(err) = validate_verdict(&product, r, f, v) {
-            notes.push(format!("{}: {}", v.stats.backend.name(), err));
-        }
-    }
-
-    Ok((
-        TripleVerdict {
-            explicit: explicit.holds,
-            symbolic: symbolic.holds,
-            reference: ref_holds,
-        },
-        notes,
-    ))
-}
-
-fn is_buggy(systems: &[System], r: &Restriction, f: &Formula, sym: SymbolicBackend) -> bool {
-    match check_three(systems, r, f, sym) {
-        Ok((v, notes)) => !v.agrees() || !notes.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// Immediate subformulas of `f` (shrinking candidates).
-fn subformulas(f: &Formula) -> Vec<Formula> {
-    use Formula::*;
-    match f {
-        True | False | Ap(_) => vec![],
-        Not(g) | Ex(g) | Ax(g) | Ef(g) | Af(g) | Eg(g) | Ag(g) => vec![(**g).clone()],
-        And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | Eu(a, b) | Au(a, b) => {
-            vec![(**a).clone(), (**b).clone()]
-        }
-    }
-}
-
-fn without_transition(m: &System, skip: usize) -> System {
-    let mut out = System::new(m.alphabet().clone());
-    for (i, (s, t)) in m.proper_transitions().enumerate() {
-        if i != skip {
-            out.add_transition(s, t);
-        }
-    }
-    out
-}
-
-/// Greedily shrink `o` while the three-way split persists. Each pass
-/// tries, in order: replacing the formula by a subformula, dropping a
-/// fairness constraint, widening init to `True`, and deleting single
-/// transitions; passes repeat until a fixpoint.
-pub fn shrink(o: &Obligation) -> Obligation {
-    shrink_with(o, SymbolicBackend::default())
-}
-
-/// [`shrink`] with a specific symbolic-backend configuration — the
-/// shrinking predicate re-checks with the same engine setup, so a split
-/// that only appears under e.g. forced maintenance keeps reproducing as
-/// the obligation shrinks.
-pub fn shrink_with(o: &Obligation, sym: SymbolicBackend) -> Obligation {
-    let mut cur = o.clone();
-    loop {
-        let mut progressed = false;
-
-        for sub in subformulas(&cur.formula) {
-            if is_buggy(&cur.systems, &cur.restriction, &sub, sym) {
-                cur.formula = sub;
-                progressed = true;
-                break;
-            }
-        }
-
-        for i in 0..cur.restriction.fairness.len() {
-            let mut fair = cur.restriction.fairness.clone();
-            fair.remove(i);
-            let r = Restriction::new(cur.restriction.init.clone(), fair);
-            if is_buggy(&cur.systems, &r, &cur.formula, sym) {
-                cur.restriction = r;
-                progressed = true;
-                break;
-            }
-        }
-
-        if cur.restriction.init != Formula::True {
-            let r = Restriction::new(Formula::True, cur.restriction.fairness.clone());
-            if is_buggy(&cur.systems, &r, &cur.formula, sym) {
-                cur.restriction = r;
-                progressed = true;
-            }
-        }
-
-        'systems: for si in 0..cur.systems.len() {
-            let n_trans = cur.systems[si].proper_transitions().count();
-            for ti in 0..n_trans {
-                let mut systems = cur.systems.clone();
-                systems[si] = without_transition(&systems[si], ti);
-                if is_buggy(&systems, &cur.restriction, &cur.formula, sym) {
-                    cur.systems = systems;
-                    progressed = true;
-                    break 'systems;
-                }
-            }
-        }
-
-        if !progressed {
-            return cur;
-        }
-    }
-}
-
-/// Run one obligation through all three evaluators, cross-validating
-/// witnesses, shrinking on any disagreement.
-pub fn run_obligation(o: &Obligation) -> OracleOutcome {
-    run_obligation_with(o, SymbolicBackend::default())
-}
-
-/// [`run_obligation`] with a specific symbolic-backend configuration
-/// (maintenance policy, cache bound) — the lever the memory-kernel
-/// conformance suite uses to prove GC/rehost schedules are
-/// verdict-invariant.
-pub fn run_obligation_with(o: &Obligation, sym: SymbolicBackend) -> OracleOutcome {
-    match check_three(&o.systems, &o.restriction, &o.formula, sym) {
-        Err(e) => OracleOutcome::Skipped(e),
-        Ok((v, notes)) if v.agrees() && notes.is_empty() => OracleOutcome::Agree(v),
-        Ok(_) => {
-            let shrunk = shrink_with(o, sym);
-            let (verdicts, notes) =
-                check_three(&shrunk.systems, &shrunk.restriction, &shrunk.formula, sym)
-                    .unwrap_or_else(|e| {
-                        (
-                            TripleVerdict {
-                                explicit: false,
-                                symbolic: false,
-                                reference: false,
-                            },
-                            vec![format!("shrunk obligation failed to re-run: {e}")],
-                        )
-                    });
-            OracleOutcome::Disagree(Box::new(Disagreement {
-                seed: o.seed,
-                verdicts,
-                shrunk,
-                notes,
-            }))
-        }
-    }
-}
-
-/// The verdicts of the partition-conformance oracle, in a fixed order:
-/// partitioned symbolic (early quantification over the disjunctive
-/// parts), scheduled symbolic (cost-driven cluster merging and
-/// ordering), monolithic symbolic (the memoised product relation),
-/// blocked explicit (block-parallel frontier kernels), and the naïve
-/// reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuadVerdict {
-    /// Partitioned-image symbolic backend's `holds`.
-    pub partitioned: bool,
-    /// Scheduled-image symbolic backend's `holds`.
-    pub scheduled: bool,
-    /// Monolithic-image symbolic backend's `holds`.
-    pub monolithic: bool,
-    /// Block-parallel explicit backend's `holds`.
-    pub blocked: bool,
-    /// The reference evaluator's `holds`.
-    pub reference: bool,
-}
-
-impl QuadVerdict {
-    /// Do all evaluators agree?
-    pub fn agrees(&self) -> bool {
-        self.partitioned == self.scheduled
-            && self.scheduled == self.monolithic
-            && self.monolithic == self.blocked
-            && self.blocked == self.reference
-    }
-}
-
-/// A confirmed, shrunk five-way disagreement.
-#[derive(Debug, Clone)]
-pub struct QuadDisagreement {
-    /// Seed that produced the original obligation.
-    pub seed: u64,
-    /// The verdict split on the *shrunk* obligation.
-    pub verdicts: QuadVerdict,
-    /// The shrunk minimal obligation still exhibiting the split — the
-    /// shrinker also *coarsens the partition* (merging adjacent
-    /// components), so the report shows the fewest components that still
-    /// disagree.
-    pub shrunk: Obligation,
-    /// Ancillary detail (witness-replay failures, count mismatches).
-    pub notes: Vec<String>,
-}
-
-impl fmt::Display for QuadDisagreement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== PARTITION-CONFORMANCE DISAGREEMENT ===")?;
-        writeln!(
-            f,
-            "verdicts: partitioned={} scheduled={} monolithic={} blocked={} reference={}",
-            self.verdicts.partitioned,
-            self.verdicts.scheduled,
-            self.verdicts.monolithic,
-            self.verdicts.blocked,
-            self.verdicts.reference
-        )?;
+        let verdicts: Vec<String> = self
+            .verdicts
+            .iter()
+            .map(|(name, holds)| format!("{name}={holds}"))
+            .collect();
+        writeln!(f, "verdicts: {}", verdicts.join(" "))?;
         writeln!(f, "formula:  {}", self.shrunk.formula)?;
         writeln!(f, "init:     {}", self.shrunk.restriction.init)?;
         for (i, c) in self.shrunk.restriction.fairness.iter().enumerate() {
@@ -357,212 +354,46 @@ impl fmt::Display for QuadDisagreement {
         }
         writeln!(
             f,
-            "replay:   cargo run -p cmc-testkit -- --partition --seed {}",
-            self.seed
+            "replay:   cargo run -p cmc-testkit -- {}--seed {}",
+            self.replay, self.seed
         )
     }
 }
 
-/// Outcome of running one obligation through the five-way oracle.
+/// Outcome of running one obligation through an [`Oracle`].
 #[derive(Debug)]
-pub enum QuadOutcome {
-    /// All four evaluators agree (counts and witnesses cross-validated).
-    Agree(QuadVerdict),
+pub enum OracleOutcome {
+    /// Every evaluator agrees (counts and witnesses cross-validated).
+    Agree {
+        /// The agreed verdict.
+        holds: bool,
+    },
     /// Somebody is wrong; here is the shrunk evidence.
-    Disagree(Box<QuadDisagreement>),
+    Disagree(Box<Disagreement>),
     /// The obligation could not be run (e.g. backend limit) — skipped.
     Skipped(String),
 }
 
-/// Worker cap for the blocked-explicit leg of the quad oracle. The
-/// blocked kernels only engage above the parallel-universe threshold;
-/// below it this is exercised-but-serial, which is exactly the production
-/// routing.
-const QUAD_EXPLICIT_WORKERS: usize = 4;
-
-fn check_four(
-    systems: &[System],
-    r: &Restriction,
-    f: &Formula,
-) -> Result<(QuadVerdict, Vec<String>), String> {
-    let target = Target::composition(systems.to_vec());
-    let partitioned = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Partitioned)
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let scheduled = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Scheduled)
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let monolithic = SymbolicBackend::default()
-        .with_image_mode(ImageMode::Monolithic)
-        .check(&target, r, f)
-        .map_err(|e| e.to_string())?;
-    let blocked = ExplicitBackend::default()
-        .with_workers(QUAD_EXPLICIT_WORKERS)
-        .check(&target, r, f)
-        .map_err(|e: BackendError| e.to_string())?;
-
-    let product = target.materialize();
-    let reference = RefEvaluator::new(&product).map_err(|e| e.to_string())?;
-    let (ref_holds, _) = reference.check(r, f).map_err(|e| e.to_string())?;
-
-    let mut notes = Vec::new();
-    let ref_count = reference
-        .sat_count(f, &r.fairness)
-        .map_err(|e| e.to_string())?;
-    for (name, v) in [
-        ("partitioned", &partitioned),
-        ("scheduled", &scheduled),
-        ("monolithic", &monolithic),
-        ("blocked", &blocked),
-    ] {
-        if let Some(n) = v.sat_states {
-            if n != ref_count {
-                notes.push(format!(
-                    "{name} reports {n} satisfying states, reference counts {ref_count}"
-                ));
-            }
-        }
-        if let Err(err) = validate_verdict(&product, r, f, v) {
-            notes.push(format!("{name}: {err}"));
-        }
-    }
-
-    // The scheduled leg's verdicts must be *bit-identical* to the
-    // partitioned baseline, not merely agree on `holds`.
-    if scheduled.violating != partitioned.violating {
-        notes.push("scheduled and partitioned witness sets differ".into());
-    }
-    if scheduled.sat_states != partitioned.sat_states {
-        notes.push(format!(
-            "scheduled counts {:?} satisfying states, partitioned {:?}",
-            scheduled.sat_states, partitioned.sat_states
-        ));
-    }
-
-    Ok((
-        QuadVerdict {
-            partitioned: partitioned.holds,
-            scheduled: scheduled.holds,
-            monolithic: monolithic.holds,
-            blocked: blocked.holds,
-            reference: ref_holds,
-        },
-        notes,
-    ))
-}
-
-fn is_buggy_quad(systems: &[System], r: &Restriction, f: &Formula) -> bool {
-    match check_four(systems, r, f) {
-        Ok((v, notes)) => !v.agrees() || !notes.is_empty(),
-        Err(_) => false,
-    }
-}
-
-/// Greedily shrink a quad-oracle failure. On top of the passes of
-/// [`shrink`] (subformulas, fairness, init, single transitions) this adds
-/// **partition coarsening**: merging two adjacent components into their
-/// interleaving product. A split that survives coarsening down to one
-/// component is an engine bug independent of the partitioning; one that
-/// vanishes pinpoints the partition handling itself.
-pub fn shrink_quad(o: &Obligation) -> Obligation {
-    let mut cur = o.clone();
-    loop {
-        let mut progressed = false;
-
-        // Coarsen first: fewer components shrink every later pass's
-        // search space.
-        for i in 0..cur.systems.len().saturating_sub(1) {
-            let mut systems = cur.systems.clone();
-            let merged = systems[i].compose(&systems[i + 1]);
-            systems[i] = merged;
-            systems.remove(i + 1);
-            if is_buggy_quad(&systems, &cur.restriction, &cur.formula) {
-                cur.systems = systems;
-                progressed = true;
-                break;
-            }
-        }
-
-        for sub in subformulas(&cur.formula) {
-            if is_buggy_quad(&cur.systems, &cur.restriction, &sub) {
-                cur.formula = sub;
-                progressed = true;
-                break;
-            }
-        }
-
-        for i in 0..cur.restriction.fairness.len() {
-            let mut fair = cur.restriction.fairness.clone();
-            fair.remove(i);
-            let r = Restriction::new(cur.restriction.init.clone(), fair);
-            if is_buggy_quad(&cur.systems, &r, &cur.formula) {
-                cur.restriction = r;
-                progressed = true;
-                break;
-            }
-        }
-
-        if cur.restriction.init != Formula::True {
-            let r = Restriction::new(Formula::True, cur.restriction.fairness.clone());
-            if is_buggy_quad(&cur.systems, &r, &cur.formula) {
-                cur.restriction = r;
-                progressed = true;
-            }
-        }
-
-        'systems: for si in 0..cur.systems.len() {
-            let n_trans = cur.systems[si].proper_transitions().count();
-            for ti in 0..n_trans {
-                let mut systems = cur.systems.clone();
-                systems[si] = without_transition(&systems[si], ti);
-                if is_buggy_quad(&systems, &cur.restriction, &cur.formula) {
-                    cur.systems = systems;
-                    progressed = true;
-                    break 'systems;
-                }
-            }
-        }
-
-        if !progressed {
-            return cur;
+/// Immediate subformulas of `f` (shrinking candidates).
+fn subformulas(f: &Formula) -> Vec<Formula> {
+    use Formula::*;
+    match f {
+        True | False | Ap(_) => vec![],
+        Not(g) | Ex(g) | Ax(g) | Ef(g) | Af(g) | Eg(g) | Ag(g) => vec![(**g).clone()],
+        And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | Eu(a, b) | Au(a, b) => {
+            vec![(**a).clone(), (**b).clone()]
         }
     }
 }
 
-/// Run one obligation through the five-way partition-conformance oracle,
-/// cross-validating counts and witnesses, shrinking (with partition
-/// coarsening) on any disagreement.
-pub fn run_quad_obligation(o: &Obligation) -> QuadOutcome {
-    match check_four(&o.systems, &o.restriction, &o.formula) {
-        Err(e) => QuadOutcome::Skipped(e),
-        Ok((v, notes)) if v.agrees() && notes.is_empty() => QuadOutcome::Agree(v),
-        Ok(_) => {
-            let shrunk = shrink_quad(o);
-            let (verdicts, notes) =
-                check_four(&shrunk.systems, &shrunk.restriction, &shrunk.formula).unwrap_or_else(
-                    |e| {
-                        (
-                            QuadVerdict {
-                                partitioned: false,
-                                scheduled: false,
-                                monolithic: false,
-                                blocked: false,
-                                reference: false,
-                            },
-                            vec![format!("shrunk obligation failed to re-run: {e}")],
-                        )
-                    },
-                );
-            QuadOutcome::Disagree(Box::new(QuadDisagreement {
-                seed: o.seed,
-                verdicts,
-                shrunk,
-                notes,
-            }))
+fn without_transition(m: &System, skip: usize) -> System {
+    let mut out = System::new(m.alphabet().clone());
+    for (i, (s, t)) in m.proper_transitions().enumerate() {
+        if i != skip {
+            out.add_transition(s, t);
         }
     }
+    out
 }
 
 /// The two verdicts of the wide-composition oracle, in a fixed order.
@@ -808,10 +639,11 @@ mod tests {
     #[test]
     fn small_corpus_agrees() {
         let cfg = GenConfig::default();
+        let oracle = Oracle::three_way(SymbolicBackend::default());
         for seed in 0..40 {
             let o = gen_obligation(seed, &cfg);
-            match run_obligation(&o) {
-                OracleOutcome::Agree(_) | OracleOutcome::Skipped(_) => {}
+            match oracle.run(&o) {
+                OracleOutcome::Agree { .. } | OracleOutcome::Skipped(_) => {}
                 OracleOutcome::Disagree(d) => panic!("seed {seed} disagreed:\n{d}"),
             }
         }
@@ -859,7 +691,7 @@ mod tests {
         // without test seams, so just check shrink() is identity on an
         // agreeing obligation.
         let o = gen_obligation(3, &GenConfig::default());
-        let s = shrink(&o);
+        let s = Oracle::three_way(SymbolicBackend::default()).shrink(&o);
         assert_eq!(s.formula, o.formula);
     }
 }

@@ -7,9 +7,9 @@
 //! `cargo run -p cmc-testkit -- --seed N` line to replay it standalone.
 
 use cmc_testkit::{
-    corpus_seeds, gen_obligation, run_obligation, validate_witness, GenConfig, OracleOutcome,
-    WitnessClaim,
+    corpus_seeds, gen_obligation, validate_witness, GenConfig, Oracle, OracleOutcome, WitnessClaim,
 };
+use compositional_mc::core::SymbolicBackend;
 use compositional_mc::ctl::{Checker, Formula, Restriction};
 use compositional_mc::symbolic::SymbolicModel;
 
@@ -24,12 +24,13 @@ fn five_hundred_obligations_agree_three_ways() {
     seeds.extend(1_000..1_450u64);
     assert!(seeds.len() >= 500, "corpus too small: {}", seeds.len());
 
+    let oracle = Oracle::three_way(SymbolicBackend::default());
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
         let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => agreed += 1,
+        match oracle.run(&o) {
+            OracleOutcome::Agree { .. } => agreed += 1,
             OracleOutcome::Skipped(why) => {
                 skipped += 1;
                 assert!(

@@ -12,7 +12,7 @@
 //! * a bounded computed table (with evictions observed) must leave sat
 //!   sets untouched.
 
-use cmc_testkit::{gen_obligation, run_obligation_with, GenConfig, OracleOutcome};
+use cmc_testkit::{gen_obligation, GenConfig, Oracle, OracleOutcome};
 use compositional_mc::core::SymbolicBackend;
 use compositional_mc::ctl::{parse, Formula, Restriction};
 use compositional_mc::kripke::{Alphabet, State, System};
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 /// The three-way oracle over a fresh seed range, once per maintenance
 /// schedule: disabled, and forced at every 1st/2nd/5th safe point. For
 /// each seed all four runs must land in the same outcome class with the
-/// same triple verdict — GC and rehost schedules are semantics-free.
+/// same agreed verdict — GC and rehost schedules are semantics-free.
 #[test]
 fn oracle_verdicts_invariant_under_forced_maintenance() {
     let cfg = GenConfig::default();
@@ -44,11 +44,11 @@ fn oracle_verdicts_invariant_under_forced_maintenance() {
         let o = gen_obligation(seed, &cfg);
         let mut baseline = None;
         for (name, backend) in &schedules {
-            match run_obligation_with(&o, *backend) {
-                OracleOutcome::Agree(v) => match &baseline {
-                    None => baseline = Some(v),
+            match Oracle::three_way(*backend).run(&o) {
+                OracleOutcome::Agree { holds } => match baseline {
+                    None => baseline = Some(holds),
                     Some(b) => assert_eq!(
-                        *b, v,
+                        b, holds,
                         "seed {seed}: schedule {name} changed the agreed verdict"
                     ),
                 },

@@ -9,10 +9,10 @@
 //! * a determinism check that the bounded scheduler returns identical
 //!   results for every worker count.
 
-use cmc_testkit::{gen_obligation, run_obligation, GenConfig, OracleOutcome, RefEvaluator};
+use cmc_testkit::{gen_obligation, GenConfig, Oracle, OracleOutcome, RefEvaluator};
 use compositional_mc::core::backend::Target;
 use compositional_mc::core::parallel::check_targets_with_workers;
-use compositional_mc::core::BackendChoice;
+use compositional_mc::core::{BackendChoice, SymbolicBackend};
 use compositional_mc::ctl::{Checker, Formula, StateSet};
 use compositional_mc::kripke::{Alphabet, State, System};
 use proptest::prelude::*;
@@ -25,12 +25,13 @@ use proptest::prelude::*;
 fn two_hundred_fresh_obligations_agree_three_ways() {
     let cfg = GenConfig::default();
     let seeds: Vec<u64> = (10_000..10_250u64).collect();
+    let oracle = Oracle::three_way(SymbolicBackend::default());
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
         let o = gen_obligation(seed, &cfg);
-        match run_obligation(&o) {
-            OracleOutcome::Agree(_) => agreed += 1,
+        match oracle.run(&o) {
+            OracleOutcome::Agree { .. } => agreed += 1,
             OracleOutcome::Skipped(why) => {
                 skipped += 1;
                 assert!(

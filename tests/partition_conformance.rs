@@ -5,10 +5,10 @@
 //! Three pillars:
 //!
 //! 1. a 250-seed sweep of multi-component obligations through the
-//!    **five-way** oracle (partitioned symbolic / scheduled symbolic /
-//!    monolithic symbolic / blocked explicit / naïve reference), with sat
-//!    counts and witnesses cross-validated and partition-coarsening
-//!    shrinking on failure;
+//!    **five-way** oracle (scheduled symbolic / unmerged scheduled
+//!    symbolic / monolithic symbolic / blocked explicit / naïve
+//!    reference), with sat counts and witnesses cross-validated and
+//!    partition-coarsening shrinking on failure;
 //! 2. property tests that **any** early-quantification schedule over a
 //!    conjunctive partition computes the same pre-image as the monolithic
 //!    relation, and that block-parallel frontiers agree with the serial
@@ -19,8 +19,7 @@
 //!    maintenance.
 
 use cmc_testkit::{
-    gen_partitioned_obligation, partition_corpus_seeds, run_obligation_with, run_quad_obligation,
-    GenConfig, OracleOutcome, QuadOutcome,
+    gen_partitioned_obligation, partition_corpus_seeds, GenConfig, Oracle, OracleOutcome,
 };
 use compositional_mc::core::parallel::check_targets_with_workers;
 use compositional_mc::core::{
@@ -44,20 +43,21 @@ fn two_hundred_fifty_partitioned_obligations_agree_four_ways() {
     seeds.extend(2_000..2_000 + fresh as u64);
     assert!(seeds.len() >= 250, "corpus too small: {}", seeds.len());
 
+    let oracle = Oracle::partition();
     let mut agreed = 0usize;
     let mut skipped = 0usize;
     for &seed in &seeds {
         let o = gen_partitioned_obligation(seed, &cfg);
-        match run_quad_obligation(&o) {
-            QuadOutcome::Agree(_) => agreed += 1,
-            QuadOutcome::Skipped(why) => {
+        match oracle.run(&o) {
+            OracleOutcome::Agree { .. } => agreed += 1,
+            OracleOutcome::Skipped(why) => {
                 skipped += 1;
                 assert!(
                     skipped <= seeds.len() / 50,
                     "too many skipped obligations (last: seed {seed}: {why})"
                 );
             }
-            QuadOutcome::Disagree(d) => panic!("{d}"),
+            OracleOutcome::Disagree(d) => panic!("{d}"),
         }
     }
     assert!(
@@ -86,8 +86,9 @@ proptest! {
 
     /// Any early-quantification schedule over the conjunctive clusters of
     /// any partition agrees with the closed-form partition pre-image, and
-    /// the partitioned `pre_exists` agrees with the monolithic one — on
-    /// random three-component chains and random state sets.
+    /// the scheduled `pre_exists` (merged or not) agrees with the
+    /// monolithic one — on random three-component chains and random state
+    /// sets.
     #[test]
     fn quantification_schedules_match_monolithic_pre_image(
         pa in arb_pairs(8),
@@ -132,16 +133,9 @@ proptest! {
             s = m.mgr().or(s, extra);
         }
 
-        // Partitioned vs monolithic vs scheduled (merged-cluster)
-        // pre-image of the same set.
-        m.set_image_mode(ImageMode::Partitioned);
-        let part = m.pre_exists(s);
-        m.set_image_mode(ImageMode::Monolithic);
-        let mono = m.pre_exists(s);
-        prop_assert_eq!(part, mono, "image modes disagree on pre_exists");
-        m.set_image_mode(ImageMode::Scheduled);
+        // Scheduled (merged clusters, the default) vs unmerged vs
+        // monolithic pre-image of the same set.
         let sched = m.pre_exists(s);
-        prop_assert_eq!(sched, mono, "scheduled pre_exists diverged");
         if let Some(st) = m.schedule_stats() {
             let mut order = st.order.clone();
             order.sort_unstable();
@@ -151,11 +145,16 @@ proptest! {
                 "schedule order is not a permutation"
             );
         }
+        m.set_schedule_config(ScheduleConfig::no_merging());
+        let unmerged = m.pre_exists(s);
+        m.set_image_mode(ImageMode::Monolithic);
+        let mono = m.pre_exists(s);
+        prop_assert_eq!(sched, mono, "scheduled pre_exists diverged");
+        prop_assert_eq!(unmerged, mono, "unmerged pre_exists diverged");
 
         // Every rotation of every partition's conjunctive clusters
         // computes the closed-form per-partition pre-image — and so does
         // the cost-model-chosen permutation.
-        m.set_image_mode(ImageMode::Partitioned);
         let s_next = m.to_next_frame(s);
         let next_cube = m.next_cube();
         for i in 0..m.num_trans_parts() {
@@ -276,8 +275,8 @@ fn forced_maintenance_per_worker_managers_are_verdict_invariant() {
         .collect();
     let run = |workers: usize, backend: SymbolicBackend| -> Vec<String> {
         compositional_mc::core::scheduler::run_bounded(obligations.len(), workers, |i| {
-            match run_obligation_with(&obligations[i], backend) {
-                OracleOutcome::Agree(v) => format!("agree:{}", v.symbolic),
+            match Oracle::three_way(backend).run(&obligations[i]) {
+                OracleOutcome::Agree { holds } => format!("agree:{holds}"),
                 OracleOutcome::Skipped(why) => format!("skip:{why}"),
                 OracleOutcome::Disagree(d) => format!("disagree:{d}"),
             }
@@ -343,22 +342,21 @@ fn certificate_steps_identical_across_worker_counts() {
     }
 }
 
-/// The three symbolic image modes and the blocked explicit backend agree
-/// on a deterministic spot-check fleet, as full verdicts (holds,
-/// witnesses, counts) — the direct assertion without the oracle plumbing.
-/// The scheduled leg must be **bit-identical** to the partitioned one:
-/// same witness list, same exact sat count.
+/// The two symbolic image modes (the scheduled loop merged and unmerged,
+/// and the monolithic baseline) and the blocked explicit backend agree on
+/// a deterministic spot-check fleet, as full verdicts (holds, witnesses,
+/// counts) — the direct assertion without the oracle plumbing. Both
+/// scheduled legs must be **bit-identical** to the monolithic one: same
+/// witness list, same exact sat count.
 #[test]
 fn image_modes_and_blocked_explicit_agree_on_fleet() {
     let cfg = GenConfig::default();
     for seed in 300..320u64 {
         let o = gen_partitioned_obligation(seed, &cfg);
         let target = Target::composition(o.systems.clone());
-        let part = SymbolicBackend::default()
-            .with_image_mode(ImageMode::Partitioned)
-            .check(&target, &o.restriction, &o.formula);
-        let sched = SymbolicBackend::default()
-            .with_image_mode(ImageMode::Scheduled)
+        let sched = SymbolicBackend::default().check(&target, &o.restriction, &o.formula);
+        let unmerged = SymbolicBackend::default()
+            .with_schedule(ScheduleConfig::no_merging())
             .check(&target, &o.restriction, &o.formula);
         let mono = SymbolicBackend::default()
             .with_image_mode(ImageMode::Monolithic)
@@ -367,26 +365,21 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
             ExplicitBackend::default()
                 .with_workers(4)
                 .check(&target, &o.restriction, &o.formula);
-        let (part, sched, mono, blocked) = match (part, sched, mono, blocked) {
-            (Ok(a), Ok(s), Ok(b), Ok(c)) => (a, s, b, c),
+        let (sched, unmerged, mono, blocked) = match (sched, unmerged, mono, blocked) {
+            (Ok(a), Ok(u), Ok(b), Ok(c)) => (a, u, b, c),
             other => panic!("seed {seed}: a backend failed: {other:?}"),
         };
-        assert_eq!(part.holds, mono.holds, "seed {seed}: image modes split");
-        assert_eq!(part.holds, blocked.holds, "seed {seed}: explicit split");
-        assert_eq!(part.sat_states, mono.sat_states, "seed {seed}");
-        assert_eq!(part.sat_states, blocked.sat_states, "seed {seed}");
-        assert_eq!(part.violating, mono.violating, "seed {seed}");
-        // Scheduled is bit-identical to partitioned, and its schedule
-        // bookkeeping flows into CheckStats.
-        assert_eq!(sched.holds, part.holds, "seed {seed}: scheduled split");
-        assert_eq!(
-            sched.sat_states, part.sat_states,
-            "seed {seed}: scheduled count"
-        );
-        assert_eq!(
-            sched.violating, part.violating,
-            "seed {seed}: scheduled witnesses"
-        );
+        assert_eq!(mono.holds, blocked.holds, "seed {seed}: explicit split");
+        assert_eq!(mono.sat_states, blocked.sat_states, "seed {seed}");
+        for (label, v) in [("scheduled", &sched), ("unmerged", &unmerged)] {
+            assert_eq!(v.holds, mono.holds, "seed {seed}: {label} split");
+            assert_eq!(v.sat_states, mono.sat_states, "seed {seed}: {label} count");
+            assert_eq!(
+                v.violating, mono.violating,
+                "seed {seed}: {label} witnesses"
+            );
+        }
+        // The schedule bookkeeping flows into CheckStats.
         if let Some(st) = &sched.stats.schedule {
             assert!(
                 st.clusters_after <= st.clusters_before,
@@ -402,16 +395,51 @@ fn image_modes_and_blocked_explicit_agree_on_fleet() {
         }
         // Partition bookkeeping flows into the stats: one partition per
         // component that has proper transitions.
-        assert!(part.stats.partitions <= o.systems.len(), "seed {seed}");
+        assert!(sched.stats.partitions <= o.systems.len(), "seed {seed}");
         assert_eq!(blocked.stats.threads, 4, "seed {seed}");
     }
 }
 
+/// The engine's default symbolic backend runs the scheduled image loop:
+/// checking a token ring reports the schedule it used, and the ring's
+/// small overlapping stations merge into fewer clusters.
+#[test]
+fn default_symbolic_backend_schedules_token_ring() {
+    let n = 6;
+    let ring: Vec<System> = (0..n)
+        .map(|i| {
+            let this = format!("t{i}");
+            let next = format!("t{}", (i + 1) % n);
+            let mut m = System::new(Alphabet::new([this.as_str(), next.as_str()]));
+            m.add_transition_named(&[&this], &[&next]);
+            m
+        })
+        .collect();
+    let target = Target::composition(ring);
+    let init = Formula::ap("t0");
+    let f = Formula::ap(format!("t{}", n / 2)).ef();
+    let v = SymbolicBackend::default()
+        .check(&target, &Restriction::new(init, vec![]), &f)
+        .expect("symbolic check failed");
+    assert!(v.holds, "the token reaches t{}", n / 2);
+    let st = v
+        .stats
+        .schedule
+        .expect("the default backend must report its quantification schedule");
+    assert_eq!(st.clusters_before, n);
+    assert!(
+        st.clusters_after < st.clusters_before,
+        "overlapping stations must merge ({} -> {})",
+        st.clusters_before,
+        st.clusters_after
+    );
+}
+
 /// `ImageMode::Scheduled` is verdict-invariant across worker counts and
-/// schedule configurations: the oracle corpus agrees at 1/2/4/8 workers
-/// whether clusters are merged aggressively or not at all, and under the
-/// most aggressive maintenance policy (which exercises the re-plan path
-/// through rehosting).
+/// schedule configurations: the oracle corpus agrees with the monolithic
+/// baseline at 1/2/4/8 workers whether clusters are merged aggressively
+/// or not at all, and under the most aggressive maintenance policy (which
+/// exercises the re-plan path through rehosting).
 #[test]
 fn scheduled_mode_is_verdict_invariant_across_workers() {
     let cfg = GenConfig::default();
@@ -420,8 +448,8 @@ fn scheduled_mode_is_verdict_invariant_across_workers() {
         .collect();
     let run = |workers: usize, backend: SymbolicBackend| -> Vec<String> {
         compositional_mc::core::scheduler::run_bounded(obligations.len(), workers, |i| {
-            match run_obligation_with(&obligations[i], backend) {
-                OracleOutcome::Agree(v) => format!("agree:{}", v.symbolic),
+            match Oracle::three_way(backend).run(&obligations[i]) {
+                OracleOutcome::Agree { holds } => format!("agree:{holds}"),
                 OracleOutcome::Skipped(why) => format!("skip:{why}"),
                 OracleOutcome::Disagree(d) => format!("disagree:{d}"),
             }
@@ -430,15 +458,15 @@ fn scheduled_mode_is_verdict_invariant_across_workers() {
         .map(|r| r.expect("oracle job panicked"))
         .collect()
     };
-    let baseline = run(1, SymbolicBackend::default());
+    let monolithic = SymbolicBackend::default().with_image_mode(ImageMode::Monolithic);
+    let baseline = run(1, monolithic);
     assert!(
         baseline.iter().all(|s| s.starts_with("agree:")),
         "baseline corpus must agree: {baseline:?}"
     );
-    let scheduled = SymbolicBackend::default().with_image_mode(ImageMode::Scheduled);
+    let scheduled = SymbolicBackend::default();
     let unmerged = scheduled.with_schedule(ScheduleConfig::no_merging());
-    let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1))
-        .with_image_mode(ImageMode::Scheduled);
+    let forced = SymbolicBackend::with_maintenance(MaintenanceConfig::forced_every(1));
     for workers in [1usize, 2, 4, 8] {
         for (label, backend) in [
             ("scheduled", scheduled),
