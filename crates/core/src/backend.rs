@@ -261,7 +261,21 @@ pub fn check_routed_with_workers(
     f: &Formula,
     workers: usize,
 ) -> Result<Verdict, BackendError> {
-    let mut decision = choice.route(target, r);
+    check_planned(choice, choice.route(target, r), target, r, f, workers)
+}
+
+/// Run the engine `decision` planned for `target ⊨_r f` — the second half
+/// of [`check_routed_with_workers`], for callers that already routed the
+/// obligation (to key a store by the planned kind) so the cost model runs
+/// once per obligation. `decision` must be `choice.route(target, r)`.
+pub fn check_planned(
+    choice: BackendChoice,
+    mut decision: RouteDecision,
+    target: &Target,
+    r: &Restriction,
+    f: &Formula,
+    workers: usize,
+) -> Result<Verdict, BackendError> {
     if decision.planned == BackendKind::Explicit {
         let limits = match choice {
             // The attempt is budgeted by the cost model: cheap to be wrong.

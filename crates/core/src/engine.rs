@@ -13,7 +13,9 @@
 //! exactly this workflow: "the developer of a component take\[s\] a greater
 //! part in proving correctness" and ships the proof with the component.
 
-use crate::backend::{check_refines, check_routed, BackendChoice, BackendKind, Target};
+use crate::backend::{
+    check_planned, check_refines, check_routed, BackendChoice, BackendKind, RouteDecision, Target,
+};
 use crate::property::{classify, PropertyClass};
 use crate::rules::{
     circular_refines, invariant_obligations, substitution_side_conditions, Guarantee,
@@ -477,13 +479,14 @@ impl Engine {
         // hits are resolved immediately, misses carry their store key.
         let trivial = Restriction::trivial();
         let mut slots: Vec<(String, Option<ObligationKey>, BackendKind, Option<bool>)> = Vec::new();
-        let mut misses: Vec<(String, Target, Formula)> = Vec::new();
+        let mut misses: Vec<(Target, Formula, RouteDecision)> = Vec::new();
         for conjunct in Self::conjuncts(f) {
             let props = conjunct.atomic_props();
             for (i, comp) in self.components.iter().enumerate() {
                 let name = format!("minimal expansion of {} ⊨ {conjunct}", comp.name);
                 let target = self.minimal_target(i, &props);
-                let kind = self.backend.route(&target, &trivial).planned;
+                let decision = self.backend.route(&target, &trivial);
+                let kind = decision.planned;
                 let key = self
                     .store
                     .as_ref()
@@ -493,18 +496,28 @@ impl Engine {
                     _ => None,
                 };
                 if cached.is_none() {
-                    misses.push((name.clone(), target, conjunct.clone()));
+                    misses.push((target, conjunct.clone(), decision));
                 }
                 slots.push((name, key, kind, cached));
             }
         }
-        let mut fresh = crate::parallel::check_targets_parallel(&misses, self.backend).into_iter();
+        // Each miss runs the engine its slot already planned: the cost
+        // model runs once per obligation.
+        let mut fresh = crate::scheduler::run(misses.len(), |i| {
+            let (target, f, decision) = &misses[i];
+            check_planned(self.backend, *decision, target, &trivial, f, 1)
+                .map_err(|e| e.to_string())
+        })
+        .into_iter()
+        .map(|r| r.and_then(|inner| inner));
         for (name, key, kind, cached) in slots {
             match cached {
                 Some(ok) => cert.step_checked(format!("{name} (cached)"), ok, true, kind, None),
                 None => {
-                    let (_, outcome) = fresh.next().expect("one parallel result per miss");
-                    let verdict = outcome.map_err(EngineError::Check)?;
+                    let verdict = fresh
+                        .next()
+                        .expect("one parallel result per miss")
+                        .map_err(EngineError::Check)?;
                     if let (Some(store), Some(key)) = (&self.store, key) {
                         store.insert(key, Entry::verdict(verdict.holds));
                     }
@@ -533,11 +546,12 @@ impl Engine {
         // The store key carries the *planned* engine (deterministic across
         // runs); the recorded backend is whatever actually answered, which
         // differs only when Auto's explicit attempt fell back.
-        let kind = self.backend.route(target, r).planned;
+        let decision = self.backend.route(target, r);
+        let kind = decision.planned;
         let duration = std::cell::Cell::new(None);
         let actual = std::cell::Cell::new(None);
         let run = || -> Result<bool, EngineError> {
-            let v = check_routed(self.backend, target, r, f)
+            let v = check_planned(self.backend, decision, target, r, f, 1)
                 .map_err(|e| EngineError::Check(e.to_string()))?;
             duration.set(Some(v.stats.duration));
             actual.set(Some(v.stats.backend));
@@ -771,8 +785,14 @@ impl Engine {
             );
         }
         let validity_alphabet = Alphabet::new(validity_props.into_iter().collect::<Vec<_>>());
-        let valid_init = crate::parallel::propositional_validity(&validity_alphabet, &validity);
-        cert.step(format!("validity of {validity}"), valid_init, true);
+        match crate::parallel::falsifying_assignment(&validity_alphabet, &validity) {
+            None => cert.step(format!("validity of {validity}"), true, true),
+            Some(state) => cert.step(
+                format!("validity of {validity} FAILS in state {state}"),
+                false,
+                true,
+            ),
+        }
 
         // Each conjunct is its own obligation unit `K`; the hypothesis
         // escalation below supplies whatever neighbouring conjuncts the
@@ -804,7 +824,7 @@ impl Engine {
                     .expect("one outcome per (conjunct, component) pair")
                     .map_err(EngineError::Check)??;
                 match level {
-                    Some((level, kind)) => cert.step_checked(
+                    Some((level, kind, duration)) => cert.step_checked(
                         format!(
                             "{}: Inv ⇒ AX ({k}) via {}",
                             comp.name,
@@ -817,7 +837,7 @@ impl Engine {
                         true,
                         true,
                         kind,
-                        None,
+                        duration,
                     ),
                     None => cert.step(
                         format!(
@@ -841,7 +861,9 @@ impl Engine {
     }
 
     /// Try the three hypothesis levels for cluster `k` on component `i`;
-    /// returns the first level that passes.
+    /// returns the first level that passes, the engine that passed it, and
+    /// the summed wall time of the fresh checks the ladder ran (`None`
+    /// when every level it tried was answered by the store).
     fn check_cluster_on_component(
         &self,
         i: usize,
@@ -849,16 +871,20 @@ impl Engine {
         inv: &Formula,
         k: &Formula,
         k_props: &std::collections::BTreeSet<String>,
-    ) -> Result<Option<(u8, BackendKind)>, EngineError> {
+    ) -> Result<Option<(u8, BackendKind, Option<Duration>)>, EngineError> {
+        let spent = std::cell::Cell::new(None::<Duration>);
         let check = |target: &Target, f: &Formula| -> Result<(bool, BackendKind), EngineError> {
-            self.cached_holds_everywhere(target, f)
-                .map(|(holds, _, kind, _)| (holds, kind))
+            let (holds, _, kind, duration) = self.cached_holds_everywhere(target, f)?;
+            if let Some(d) = duration {
+                spent.set(Some(spent.get().unwrap_or_default() + d));
+            }
+            Ok((holds, kind))
         };
         // Level 1: local induction.
         let local = k.clone().implies(k.clone().ax());
         let t1 = self.minimal_target(i, k_props);
         if let (true, kind) = check(&t1, &local)? {
-            return Ok(Some((1, kind)));
+            return Ok(Some((1, kind, spent.get())));
         }
         // Level 2: neighbourhood hypothesis — the conjuncts that fit
         // entirely inside the footprint Σᵢ ∪ props(K). Conjuncts merely
@@ -879,14 +905,14 @@ impl Engine {
         props2.extend(k_props.iter().cloned());
         let t2 = self.minimal_target(i, &props2);
         if let (true, kind) = check(&t2, &wide)? {
-            return Ok(Some((2, kind)));
+            return Ok(Some((2, kind, spent.get())));
         }
         // Level 3: full mutual induction.
         let full = inv.clone().implies(k.clone().ax());
         let props3 = full.atomic_props();
         let t3 = self.minimal_target(i, &props3);
         if let (true, kind) = check(&t3, &full)? {
-            return Ok(Some((3, kind)));
+            return Ok(Some((3, kind, spent.get())));
         }
         Ok(None)
     }
@@ -1176,7 +1202,7 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cmc_ctl::parse;
 
@@ -1329,14 +1355,10 @@ mod tests {
         assert!(!e.monolithic_check(&g.rhs[0].1, &g.rhs[0].0).unwrap());
     }
 
-    /// The hypothesis-escalation ladder: a mutual-induction invariant
-    /// whose conjuncts are not inductive alone must pass at level >= 2 and
-    /// the certificate must say so.
-    #[test]
-    fn invariant_escalation_levels() {
-        // Ring of three stations passing a token (t0 -> t1 -> t2 -> t0).
+    /// A ring of `n` stations `s0..` passing a token `t0 -> t1 -> … -> t0`.
+    fn token_ring(n: usize) -> Engine {
         let station = |i: usize| {
-            let j = (i + 1) % 3;
+            let j = (i + 1) % n;
             let names = [format!("t{i}"), format!("t{j}")];
             let mut m = System::new(Alphabet::new(names));
             let st = |b: bool, c: bool| {
@@ -1348,11 +1370,43 @@ mod tests {
             m.add_transition(st(true, true), st(false, true));
             m
         };
-        let e = Engine::new(vec![
-            Component::new("s0", station(0)),
-            Component::new("s1", station(1)),
-            Component::new("s2", station(2)),
-        ]);
+        Engine::new(
+            (0..n)
+                .map(|i| Component::new(format!("s{i}"), station(i)))
+                .collect(),
+        )
+    }
+
+    /// Pairwise mutual exclusion `⋀_{i<j} ¬(tᵢ ∧ tⱼ)` over `t0..t{n-1}`.
+    pub(crate) fn ring_exclusion(n: usize) -> Formula {
+        Formula::and_many((0..n).flat_map(|i| {
+            (i + 1..n).map(move |j| {
+                Formula::ap(format!("t{i}"))
+                    .and(Formula::ap(format!("t{j}")))
+                    .not()
+            })
+        }))
+    }
+
+    /// Token at station 0 only.
+    fn token_at_zero(n: usize) -> Formula {
+        Formula::and_many((0..n).map(|k| {
+            let t = Formula::ap(format!("t{k}"));
+            if k == 0 {
+                t
+            } else {
+                t.not()
+            }
+        }))
+    }
+
+    /// The hypothesis-escalation ladder: a mutual-induction invariant
+    /// whose conjuncts are not inductive alone must pass at level >= 2 and
+    /// the certificate must say so.
+    #[test]
+    fn invariant_escalation_levels() {
+        // Ring of three stations passing a token (t0 -> t1 -> t2 -> t0).
+        let e = token_ring(3);
         // Pairwise mutual exclusion: each conjunct alone is NOT inductive
         // (a handoff into t_j needs to know the source t_k was exclusive),
         // so the engine must escalate.
@@ -1370,6 +1424,65 @@ mod tests {
         // Cross-check monolithically.
         let r = Restriction::with_init(init);
         assert!(e.monolithic_check(&r, &inv.ag()).unwrap());
+    }
+
+    /// Every checked step of an invariant certificate carries the wall
+    /// time of the checks behind it.
+    #[test]
+    fn invariant_steps_carry_their_timing() {
+        let n = 6;
+        let cert = token_ring(n)
+            .prove_invariant(&ring_exclusion(n), &token_at_zero(n), &[])
+            .unwrap();
+        assert!(cert.valid, "{cert}");
+        assert_eq!(cert.checked_steps().count(), n * n * (n - 1) / 2);
+        for step in cert.checked_steps() {
+            assert!(
+                step.duration.is_some(),
+                "untimed step: {}",
+                step.description
+            );
+        }
+    }
+
+    /// The compositional leg stays polynomial: a 24-station ring's `I ⇒
+    /// Inv` is decided on a diagram, not over 2^24 assignments.
+    #[test]
+    fn invariant_proves_on_a_24_station_ring() {
+        let n = 24;
+        let cert = token_ring(n)
+            .prove_invariant(&ring_exclusion(n), &token_at_zero(n), &[])
+            .unwrap();
+        assert!(cert.valid, "{cert}");
+        assert!(cert.fully_compositional());
+        assert_eq!(cert.steps[0].description, {
+            let validity = token_at_zero(n).implies(ring_exclusion(n));
+            format!("validity of {validity}")
+        });
+    }
+
+    /// A broken `I ⇒ Inv` names one assignment that falsifies it.
+    #[test]
+    fn failed_validity_names_a_falsifying_assignment() {
+        let n = 4;
+        let init = parse("t0 & t2").unwrap();
+        let cert = token_ring(n)
+            .prove_invariant(&ring_exclusion(n), &init, &[])
+            .unwrap();
+        assert!(!cert.valid);
+        let step = &cert.steps[0];
+        assert!(!step.ok);
+        let validity = init.implies(ring_exclusion(n));
+        let alphabet = Alphabet::new(validity.atomic_props().into_iter().collect::<Vec<_>>());
+        let state = crate::parallel::falsifying_assignment(&alphabet, &validity).unwrap();
+        assert_eq!(
+            step.description,
+            format!("validity of {validity} FAILS in state {state}")
+        );
+        assert_eq!(state.get("t0"), Some(true));
+        assert_eq!(state.get("t2"), Some(true));
+        let values: Vec<bool> = state.values();
+        assert!(!validity.eval_bits(&alphabet, &|i| values[i]));
     }
 
     /// Minimal expansions: obligations whose propositions live inside one

@@ -11,11 +11,13 @@
 //! still report normally, and result order is the input order regardless
 //! of worker count.
 
-use crate::backend::{check_routed, BackendChoice, BackendKind, Target, Verdict};
+use crate::backend::{check_planned, check_routed, BackendChoice, BackendKind, Target, Verdict};
 use crate::scheduler;
+use cmc_bdd::BddManager;
 use cmc_ctl::{Formula, Restriction};
 use cmc_kripke::{Alphabet, System};
 use cmc_store::{CertStore, Entry, ObligationKey};
+use cmc_symbolic::{prop_formula_to_bdd, NamedState};
 use std::sync::Arc;
 
 /// Check `⊨ f` (all states) on each system concurrently, routing each
@@ -55,18 +57,11 @@ pub fn check_holds_everywhere_with_workers(
         .collect()
 }
 
-/// Run heterogeneous check tasks concurrently: each task is a labelled
-/// `⊨ f` (all states) check of one formula on one [`Target`], routed
-/// through the backend `choice` resolves for that target. Returns full
-/// [`Verdict`]s (or error messages) in task order.
-pub fn check_targets_parallel(
-    tasks: &[(String, Target, Formula)],
-    choice: BackendChoice,
-) -> Vec<(String, Result<Verdict, String>)> {
-    check_targets_with_workers(tasks, choice, scheduler::default_workers())
-}
-
-/// [`check_targets_parallel`] with an explicit worker cap.
+/// Run heterogeneous check tasks concurrently over at most `workers`
+/// threads: each task is a labelled `⊨ f` (all states) check of one
+/// formula on one [`Target`], routed through the backend `choice`
+/// resolves for that target. Returns full [`Verdict`]s (or error
+/// messages) in task order.
 pub fn check_targets_with_workers(
     tasks: &[(String, Target, Formula)],
     choice: BackendChoice,
@@ -117,7 +112,8 @@ pub fn check_targets_with_store(
     let trivial = Restriction::trivial();
     let outcomes = scheduler::run_bounded(tasks.len(), workers, |i| {
         let (_, target, f) = &tasks[i];
-        let kind = choice.route(target, &trivial).planned;
+        let decision = choice.route(target, &trivial);
+        let kind = decision.planned;
         let refs: Vec<&System> = target.systems().iter().collect();
         // The expansion alphabet is part of the obligation's identity (the
         // same components over a wider Σ* is a different target), so it
@@ -125,7 +121,7 @@ pub fn check_targets_with_store(
         let mode = format!("fanout/{}", target.extra().names().join(","));
         let key = ObligationKey::composed(&mode, kind.name(), &refs, &trivial, f);
         let (entry, store_hit) = store.get_or_check(key, || {
-            check_routed(choice, target, &trivial, f)
+            check_planned(choice, decision, target, &trivial, f, 1)
                 .map(|v| Entry::verdict(v.holds))
                 .map_err(|e| e.to_string())
         })?;
@@ -142,17 +138,39 @@ pub fn check_targets_with_store(
         .collect()
 }
 
-/// Decide propositional validity of `f` over all states of `alphabet`
-/// (used for the `I ⇒ Inv` obligation of the invariant rule).
+/// Decide propositional validity of `f` over `alphabet` (used for the
+/// `I ⇒ Inv` obligation of the invariant rule).
 pub fn propositional_validity(alphabet: &Alphabet, f: &Formula) -> bool {
-    debug_assert!(f.is_propositional());
-    cmc_kripke::state::all_states(alphabet).all(|s| f.eval_in_state(alphabet, s))
+    falsifying_assignment(alphabet, f).is_none()
+}
+
+/// One total assignment over `alphabet` under which the propositional
+/// formula `f` is false, or `None` when `f` is valid.
+///
+/// `f` is built as a BDD in a throwaway manager with one variable per
+/// alphabet position, so the cost tracks the diagram, not the `2^|Σ|`
+/// assignments. Panics if `f` is temporal or mentions a proposition
+/// outside `alphabet`.
+pub fn falsifying_assignment(alphabet: &Alphabet, f: &Formula) -> Option<NamedState> {
+    let mut mgr = BddManager::new();
+    let vars = mgr.new_vars(alphabet.len());
+    let bdd = prop_formula_to_bdd(&mut mgr, f, &mut |m, p| {
+        alphabet.position(p).map(|i| m.var(vars[i]))
+    })
+    .unwrap_or_else(|e| panic!("propositional validity: {e}"));
+    let refutation = mgr.not(bdd);
+    let values = mgr.any_sat_total(refutation, alphabet.len())?;
+    Some(NamedState::new(
+        alphabet.names().iter().cloned().zip(values).collect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::ring_exclusion as pairwise_exclusion;
     use cmc_ctl::parse;
+    use proptest::prelude::*;
 
     fn rising(name: &str) -> System {
         let mut m = System::new(Alphabet::new([name]));
@@ -280,5 +298,81 @@ mod tests {
         assert!(propositional_validity(&al, &parse("a | !a").unwrap()));
         assert!(propositional_validity(&al, &parse("a & b -> a").unwrap()));
         assert!(!propositional_validity(&al, &parse("a -> b").unwrap()));
+        let cex = falsifying_assignment(&al, &parse("a -> b").unwrap()).unwrap();
+        assert_eq!(cex.get("a"), Some(true));
+        assert_eq!(cex.get("b"), Some(false));
+    }
+
+    /// `⋁ᵢ (tᵢ ∧ ⋀_{k≠i} ¬tₖ)` over `t0..t{n-1}`.
+    fn one_hot(n: usize) -> Formula {
+        Formula::or_many((0..n).map(|i| {
+            Formula::and_many((0..n).map(|k| {
+                let t = Formula::ap(format!("t{k}"));
+                if k == i {
+                    t
+                } else {
+                    t.not()
+                }
+            }))
+        }))
+    }
+
+    /// Seventy propositions: far past the `2^63` ceiling of state
+    /// enumeration, and a small diagram either way.
+    #[test]
+    fn validity_past_enumerable_widths() {
+        let n = 70;
+        let al = Alphabet::new((0..n).map(|i| format!("t{i}")));
+        let exclusive = one_hot(n).implies(pairwise_exclusion(n));
+        assert!(propositional_validity(&al, &exclusive));
+        // The converse fails: the all-false state excludes pairwise but
+        // holds no token.
+        let converse = pairwise_exclusion(n).implies(one_hot(n));
+        let cex = falsifying_assignment(&al, &converse).expect("converse is not valid");
+        assert!(!converse.eval_bits(&al, &|i| cex.assignments()[i].1));
+    }
+
+    fn arb_formula() -> impl Strategy<Value = Formula> {
+        let names: Vec<String> = (0..10).map(|i| format!("p{i}")).collect();
+        let leaf = prop_oneof![
+            Just(Formula::True),
+            Just(Formula::False),
+            proptest::sample::select(names).prop_map(Formula::ap),
+        ];
+        leaf.prop_recursive(4, 24, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|f| f.not()),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+                (inner.clone(), inner).prop_map(|(a, b)| a.iff(b)),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The BDD decision agrees with enumerating every assignment, and
+        /// a reported falsifying assignment really falsifies.
+        #[test]
+        fn bdd_validity_matches_enumeration(f in arb_formula(), g in arb_formula()) {
+            let al = Alphabet::new((0..10).map(|i| format!("p{i}")));
+            // Random formulas are rarely valid; the weakenings are.
+            let candidates = [
+                f.clone(),
+                f.clone().implies(g.clone()),
+                f.clone().implies(f.clone().or(g.clone())),
+                f.clone().and(g.clone()).implies(g.clone()),
+            ];
+            for h in candidates {
+                let enumerated = cmc_kripke::state::all_states(&al)
+                    .all(|s| h.eval_in_state(&al, s));
+                prop_assert_eq!(propositional_validity(&al, &h), enumerated, "{}", h);
+                if let Some(cex) = falsifying_assignment(&al, &h) {
+                    prop_assert!(!h.eval_bits(&al, &|i| cex.assignments()[i].1));
+                }
+            }
+        }
     }
 }

@@ -95,12 +95,17 @@ impl SegmentedDiskStore {
         Ok(seq)
     }
 
-    /// Append every resident entry of `store` as one new segment and
-    /// record the resulting disk footprint in the store's stats.
-    pub fn save_snapshot(&self, store: &CertStore) -> io::Result<u64> {
-        let seq = self.append(&store.snapshot())?;
-        store.note_disk_bytes(self.disk_bytes()?);
-        Ok(seq)
+    /// Append the entries `store` gained after insertion count `since`
+    /// ([`CertStore::inserted_since`]) as one new segment — none when
+    /// there are none — and record the disk footprint in the store's
+    /// stats. Returns the insertion mark to pass as the next `since`.
+    pub fn save_new(&self, store: &CertStore, since: u64) -> io::Result<u64> {
+        let (entries, mark) = store.inserted_since(since);
+        if !entries.is_empty() {
+            self.append(&entries)?;
+            store.note_disk_bytes(self.disk_bytes()?);
+        }
+        Ok(mark)
     }
 
     /// Load every readable segment into `store`, in ascending sequence
@@ -153,7 +158,6 @@ impl SegmentedDiskStore {
         // budget eviction.
         let mut order: Vec<ObligationKey> = Vec::new();
         let mut merged: HashMap<ObligationKey, Entry> = HashMap::new();
-        let mut skipped = 0u64;
         for (seq, path) in &segments {
             let text = match std::fs::read_to_string(path) {
                 Ok(text) => text,
@@ -161,7 +165,6 @@ impl SegmentedDiskStore {
                 Err(e) => return Err(e),
             };
             let Some(items) = parse_segment(&text, *seq) else {
-                skipped += 1;
                 store.count_segment_skip();
                 continue;
             };
@@ -175,29 +178,28 @@ impl SegmentedDiskStore {
                 }
             }
         }
-        let _ = skipped;
 
         // Apply the byte budget: serialised entry sizes, evict oldest
         // until the projected segment fits.
-        let mut rendered: Vec<(ObligationKey, Json)> = order
+        let mut items: Vec<Json> = order
             .iter()
-            .map(|key| (*key, entry_to_json(*key, &merged[key])))
+            .map(|key| entry_to_json(*key, &merged[key]))
             .collect();
         let mut budget_evicted = 0usize;
         if let Some(budget) = budget_bytes {
-            let mut total: u64 = rendered
+            let sizes: Vec<u64> = items
                 .iter()
-                .map(|(_, json)| json.to_compact().len() as u64)
-                .sum();
-            while total > budget && !rendered.is_empty() {
-                let (_, json) = rendered.remove(0);
-                total -= json.to_compact().len() as u64;
+                .map(|json| json.to_compact().len() as u64)
+                .collect();
+            let mut total: u64 = sizes.iter().sum();
+            while total > budget && budget_evicted < sizes.len() {
+                total -= sizes[budget_evicted];
                 budget_evicted += 1;
             }
+            items.drain(..budget_evicted);
         }
 
         let seq = *next;
-        let items: Vec<Json> = rendered.iter().map(|(_, json)| json.clone()).collect();
         let entries_kept = items.len();
         let doc = segment_doc(seq, items);
         write_atomic(&self.segment_path(seq), doc.to_pretty().as_bytes())?;
@@ -267,9 +269,9 @@ pub struct Compactor {
 
 impl Compactor {
     /// Spawn the compactor: every `interval` (and once at shutdown) it
-    /// appends the store's current snapshot as a fresh segment, then —
-    /// whenever more than `max_segments` accumulated — compacts under
-    /// `budget_bytes`. Passes are dirty-gated on the store's insertion
+    /// appends the verdicts inserted since its last flush as a fresh
+    /// segment, then — whenever more than `max_segments` accumulated —
+    /// compacts under `budget_bytes`. Passes are dirty-gated on the store's insertion
     /// counter: an idle store writes nothing, however long it idles.
     pub fn spawn(
         disk: Arc<SegmentedDiskStore>,
@@ -300,16 +302,14 @@ impl Compactor {
                         continue;
                     }
                     elapsed = Duration::ZERO;
-                    let now = store.stats().insertions;
-                    if now != flushed {
-                        flushed = now;
-                        Self::pass(&disk, &store, max_segments, budget_bytes);
+                    if store.stats().insertions != flushed {
+                        flushed = Self::pass(&disk, &store, flushed, max_segments, budget_bytes);
                     }
                 }
                 // Final pass: flush anything unflushed and merge down to
                 // one tidy, budget-respecting segment.
                 if store.stats().insertions != flushed {
-                    disk.save_snapshot(&store).ok();
+                    disk.save_new(&store, flushed).ok();
                 }
                 if disk.segment_count().map(|n| n > 1).unwrap_or(false) {
                     disk.compact(&store, budget_bytes).ok();
@@ -322,17 +322,21 @@ impl Compactor {
         }
     }
 
+    /// Flush the entries inserted after `flushed`, compacting past
+    /// `max_segments`; returns the new flush mark.
     fn pass(
         disk: &SegmentedDiskStore,
         store: &CertStore,
+        flushed: u64,
         max_segments: usize,
         budget_bytes: Option<u64>,
-    ) {
-        // Disk errors inside the background loop degrade to a cold tier;
-        // they must never take the daemon down.
-        if disk.save_snapshot(store).is_err() {
-            return;
-        }
+    ) -> u64 {
+        // Disk errors inside the background loop degrade to a cold tier
+        // (the unflushed entries are retried next pass); they must never
+        // take the daemon down.
+        let Ok(mark) = disk.save_new(store, flushed) else {
+            return flushed;
+        };
         if disk
             .segment_count()
             .map(|n| n > max_segments)
@@ -340,6 +344,7 @@ impl Compactor {
         {
             disk.compact(store, budget_bytes).ok();
         }
+        mark
     }
 
     /// Signal the thread and wait for its final flush/compaction.
@@ -379,7 +384,11 @@ fn parse_segment(text: &str, seq: u64) -> Option<Vec<Json>> {
     if !header_ok {
         return None;
     }
-    Some(doc.get("entries")?.as_arr()?.to_vec())
+    let Json::Obj(fields) = doc else { return None };
+    match fields.into_iter().find(|(k, _)| k == "entries")?.1 {
+        Json::Arr(items) => Some(items),
+        _ => None,
+    }
 }
 
 fn parse_segment_name(name: &str) -> Option<u64> {
@@ -605,6 +614,45 @@ mod tests {
         let reloaded = CertStore::new();
         disk.load_into(&reloaded).unwrap();
         assert!(reloaded.lookup(&key(5)).unwrap().verdict);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Keys of every live segment, in sequence order.
+    fn segment_keys(disk: &SegmentedDiskStore) -> Vec<Vec<u128>> {
+        disk.list_segments()
+            .unwrap()
+            .into_iter()
+            .map(|(seq, path)| {
+                let text = std::fs::read_to_string(path).unwrap();
+                parse_segment(&text, seq)
+                    .unwrap()
+                    .iter()
+                    .map(|item| entry_from_json(item).unwrap().0 .0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compactor_passes_write_only_new_verdicts() {
+        let dir = tmp_dir("incremental");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let store = CertStore::new();
+        store.insert(key(1), Entry::verdict(true));
+        store.insert(key(2), Entry::verdict(false));
+        let mark = Compactor::pass(&disk, &store, 0, usize::MAX, None);
+        store.insert(key(3), Entry::verdict(true));
+        let mark = Compactor::pass(&disk, &store, mark, usize::MAX, None);
+        assert_eq!(segment_keys(&disk), vec![vec![1, 2], vec![3]]);
+        // A pass with nothing new writes nothing.
+        assert_eq!(Compactor::pass(&disk, &store, mark, usize::MAX, None), mark);
+        assert_eq!(disk.segment_count().unwrap(), 2);
+
+        let reloaded = CertStore::new();
+        assert_eq!(disk.load_into(&reloaded).unwrap(), 3);
+        assert_eq!(reloaded.snapshot(), store.snapshot());
+        // Entries installed from disk are not new verdicts.
+        assert!(reloaded.inserted_since(0).0.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

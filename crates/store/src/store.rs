@@ -13,6 +13,10 @@ const DEFAULT_CAPACITY: usize = 4096;
 struct Slot {
     entry: Entry,
     last_used: u64,
+    /// The insertion count ([`StoreStats::insertions`]) this entry was
+    /// inserted at; 0 for entries installed from disk. The disk tier
+    /// flushes exactly the slots past its last mark.
+    inserted: u64,
 }
 
 struct Inner {
@@ -90,14 +94,16 @@ impl CertStore {
                 inner.stats.evictions += 1;
             }
         }
+        inner.stats.insertions += 1;
+        let inserted = inner.stats.insertions;
         inner.map.insert(
             key,
             Slot {
                 entry,
                 last_used: clock,
+                inserted,
             },
         );
-        inner.stats.insertions += 1;
     }
 
     /// The memoizing check wrapper: return the stored outcome for `key`,
@@ -149,6 +155,22 @@ impl CertStore {
         out
     }
 
+    /// The resident entries inserted after insertion count `since`,
+    /// sorted by key, and the insertion count they run through — pass
+    /// that mark as the next `since` to get only what came after. Entries
+    /// installed from disk are never returned.
+    pub fn inserted_since(&self, since: u64) -> (Vec<(ObligationKey, Entry)>, u64) {
+        let inner = self.inner.read();
+        let mut out: Vec<(ObligationKey, Entry)> = inner
+            .map
+            .iter()
+            .filter(|(_, slot)| slot.inserted > since)
+            .map(|(k, slot)| (*k, slot.entry.clone()))
+            .collect();
+        out.sort_by_key(|(k, _)| *k);
+        (out, inner.stats.insertions)
+    }
+
     /// Install an entry loaded from disk (bypasses miss counting; counts a
     /// disk load instead).
     pub(crate) fn install_from_disk(&self, key: ObligationKey, entry: Entry) {
@@ -163,6 +185,7 @@ impl CertStore {
             Slot {
                 entry,
                 last_used: clock,
+                inserted: 0,
             },
         );
         inner.stats.disk_loads += 1;

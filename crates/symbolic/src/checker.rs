@@ -7,7 +7,7 @@
 use crate::model::SymbolicModel;
 use crate::witness::NamedState;
 use cmc_bdd::stats::ResourceReport;
-use cmc_bdd::{Bdd, RootId};
+use cmc_bdd::{Bdd, BddManager, RootId};
 use cmc_ctl::{Formula, Restriction};
 use std::fmt;
 use std::time::Instant;
@@ -43,38 +43,55 @@ pub struct SymbolicVerdict {
     pub witness: Option<NamedState>,
 }
 
+/// Translate a *propositional* formula to a BDD in `mgr`, resolving each
+/// atomic proposition through `atom` (`None` rejects it as unknown). This
+/// is the one `Formula`→BDD translator: [`SymbolicModel::prop_to_bdd`]
+/// resolves atoms to the model's registered propositions, and the
+/// invariant rule's `I ⇒ Inv` validity check resolves them to fresh
+/// variables of a throwaway manager.
+pub fn prop_formula_to_bdd(
+    mgr: &mut BddManager,
+    f: &Formula,
+    atom: &mut impl FnMut(&mut BddManager, &str) -> Option<Bdd>,
+) -> Result<Bdd, SymbolicError> {
+    use Formula::*;
+    Ok(match f {
+        True => Bdd::TRUE,
+        False => Bdd::FALSE,
+        Ap(p) => atom(mgr, p).ok_or_else(|| SymbolicError::UnknownProposition(p.clone()))?,
+        Not(g) => {
+            let b = prop_formula_to_bdd(mgr, g, atom)?;
+            mgr.not(b)
+        }
+        And(a, b) => {
+            let x = prop_formula_to_bdd(mgr, a, atom)?;
+            let y = prop_formula_to_bdd(mgr, b, atom)?;
+            mgr.and(x, y)
+        }
+        Or(a, b) => {
+            let x = prop_formula_to_bdd(mgr, a, atom)?;
+            let y = prop_formula_to_bdd(mgr, b, atom)?;
+            mgr.or(x, y)
+        }
+        Implies(a, b) => {
+            let x = prop_formula_to_bdd(mgr, a, atom)?;
+            let y = prop_formula_to_bdd(mgr, b, atom)?;
+            mgr.implies(x, y)
+        }
+        Iff(a, b) => {
+            let x = prop_formula_to_bdd(mgr, a, atom)?;
+            let y = prop_formula_to_bdd(mgr, b, atom)?;
+            mgr.iff(x, y)
+        }
+        _ => panic!("prop_to_bdd on temporal formula {f}"),
+    })
+}
+
 impl SymbolicModel {
     /// Translate a *propositional* formula to a BDD over current variables.
     pub fn prop_to_bdd(&mut self, f: &Formula) -> Result<Bdd, SymbolicError> {
-        use Formula::*;
-        Ok(match f {
-            True => Bdd::TRUE,
-            False => Bdd::FALSE,
-            Ap(p) => self
-                .prop(p)
-                .ok_or_else(|| SymbolicError::UnknownProposition(p.clone()))?,
-            Not(g) => {
-                let b = self.prop_to_bdd(g)?;
-                self.mgr().not(b)
-            }
-            And(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().and(x, y)
-            }
-            Or(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().or(x, y)
-            }
-            Implies(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().implies(x, y)
-            }
-            Iff(a, b) => {
-                let (x, y) = (self.prop_to_bdd(a)?, self.prop_to_bdd(b)?);
-                self.mgr().iff(x, y)
-            }
-            _ => panic!("prop_to_bdd on temporal formula {f}"),
-        })
+        let (mgr, props) = self.mgr_and_props();
+        prop_formula_to_bdd(mgr, f, &mut |m, p| props.get(p).map(|&r| m.root(r)))
     }
 
     /// Least fixpoint `E[S1 U S2]`, computed frontier-seeded: each round

@@ -42,7 +42,7 @@ pub mod model;
 pub mod simulation;
 pub mod witness;
 
-pub use checker::{SymbolicError, SymbolicVerdict};
+pub use checker::{prop_formula_to_bdd, SymbolicError, SymbolicVerdict};
 pub use model::{
     ImageMode, MaintenanceConfig, MaintenanceMode, ScheduleConfig, ScheduleStats, StateVar,
     SymbolicModel,

@@ -309,6 +309,12 @@ impl SymbolicModel {
         &mut self.mgr
     }
 
+    /// The manager alongside the proposition registry, borrowed apart so
+    /// a translator can build BDDs while resolving names.
+    pub(crate) fn mgr_and_props(&mut self) -> (&mut BddManager, &BTreeMap<String, RootId>) {
+        (&mut self.mgr, &self.props)
+    }
+
     /// Read-only access to the manager.
     pub fn mgr_ref(&self) -> &BddManager {
         &self.mgr
