@@ -64,9 +64,14 @@ impl BddManager {
     /// managers are cheaper to let grow than to collect.
     pub const DEFAULT_GC_THRESHOLD: usize = 1 << 16;
 
+    /// Nodes the arena reserves up front. An arena this small costs
+    /// nothing to keep, so a caller collecting at its own safe points
+    /// gains nothing by collecting it.
+    pub const INITIAL_ARENA: usize = 1 << 12;
+
     /// Create an empty manager with the two terminal nodes.
     pub fn new() -> Self {
-        let mut nodes = Vec::with_capacity(1 << 12);
+        let mut nodes = Vec::with_capacity(Self::INITIAL_ARENA);
         // Slot 0: FALSE terminal, slot 1: TRUE terminal.
         nodes.push(Node {
             var: TERMINAL_VAR,

@@ -22,9 +22,18 @@
 //! skipped at every larger width rather than fabricated (monotone-cost
 //! families only get slower).
 //!
-//! Quick mode (`CMC_BENCH_QUICK=1`, the CI width-smoke job) shrinks the
-//! sweep to a handful of widths spanning both sides of the old 24-prop
-//! cliff so the JSON shape and the Auto audit still exercise end to end.
+//! A second series, `smv_driver`, prices the same decision end to end
+//! through the SMV driver: each program of the daemon's workload
+//! families (`cmc_serve::workload` rings and AFS instances) is run by
+//! `cmc_smv::run_source_with_backend` on `Explicit`, `Symbolic` and
+//! `Auto` (best of three runs each), and the row records the program's
+//! valid-state count, Auto's pick and whether that pick was the faster
+//! engine.
+//!
+//! Quick mode (`CMC_BENCH_QUICK=1`, the CI width-smoke and bench-smoke
+//! jobs) shrinks both sweeps to a handful of sizes spanning both sides of
+//! the old 24-prop cliff and of the crossover, so the JSON shape and the
+//! Auto audit still exercise end to end.
 
 use cmc_bench::ring;
 use cmc_core::{
@@ -33,7 +42,8 @@ use cmc_core::{
 };
 use cmc_ctl::{parse, ExplicitLimits, Formula, Restriction};
 use cmc_kripke::System;
-use cmc_smv::compile_explicit;
+use cmc_serve::workload::{afs_source, ring_source};
+use cmc_smv::{compile_explicit, run_source_with_backend};
 use cmc_store::json::Json;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -225,7 +235,69 @@ fn explicit_vs_symbolic(c: &mut Criterion) {
     group.finish();
 }
 
-/// Emit `BENCH_backend.json`: the full two-family sweep.
+/// The `smv_driver` programs: daemon-workload rings and AFS instances,
+/// on both sides of the crossover (a ring of `n` stations has `2^n` valid
+/// states, an AFS instance with `c` clients `2·3^c`).
+fn driver_programs() -> Vec<(String, String)> {
+    let (rings, afs): (&[usize], &[usize]) = if quick() {
+        (&[4, 8, 12], &[2, 4])
+    } else {
+        (&[4, 6, 7, 8, 10, 12, 14, 16], &[1, 2, 3, 4, 5])
+    };
+    rings
+        .iter()
+        .map(|&n| (format!("ring{n}"), ring_source(n)))
+        .chain(afs.iter().map(|&c| (format!("afs{c}"), afs_source(c))))
+        .collect()
+}
+
+/// One `smv_driver` row: the program through the driver on each engine.
+fn driver_row(name: &str, src: &str) -> Json {
+    let best_of_3 = |choice: BackendChoice| {
+        let mut best = f64::INFINITY;
+        let mut last = None;
+        for _ in 0..3 {
+            let start = Instant::now();
+            let out = run_source_with_backend(src, choice).expect("workload program checks");
+            best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            last = Some(out);
+        }
+        (best, last.expect("three runs"))
+    };
+    let (explicit_ms, explicit) = best_of_3(BackendChoice::Explicit);
+    let (symbolic_ms, symbolic) = best_of_3(BackendChoice::Symbolic);
+    let (auto_ms, auto) = best_of_3(BackendChoice::Auto);
+    assert_eq!(
+        explicit.results, symbolic.results,
+        "{name}: engines disagree"
+    );
+    assert_eq!(auto.results, symbolic.results, "{name}: Auto disagrees");
+    let route = auto.route.expect("the driver routes every source");
+    let faster = if explicit_ms <= symbolic_ms {
+        "explicit"
+    } else {
+        "symbolic"
+    };
+    Json::Obj(vec![
+        ("program".into(), Json::Str(name.into())),
+        ("bits".into(), Json::int(route.width as u64)),
+        (
+            "valid_states".into(),
+            Json::Num(route.estimated_states as f64),
+        ),
+        ("explicit_ms".into(), Json::Num(explicit_ms)),
+        ("symbolic_ms".into(), Json::Num(symbolic_ms)),
+        ("auto_ms".into(), Json::Num(auto_ms)),
+        ("auto_choice".into(), Json::Str(route.planned.name().into())),
+        (
+            "auto_matches_faster".into(),
+            Json::Bool(route.planned.name() == faster),
+        ),
+    ])
+}
+
+/// Emit `BENCH_backend.json`: the full two-family sweep and the SMV
+/// driver rows.
 fn emit_summary(c: &mut Criterion) {
     let mut series = Vec::new();
     for family in ["pinned", "free"] {
@@ -254,6 +326,15 @@ fn emit_summary(c: &mut Criterion) {
         ("row_budget_s".into(), Json::int(ROW_BUDGET.as_secs())),
         ("quick".into(), Json::Bool(quick())),
         ("series".into(), Json::Arr(series)),
+        (
+            "smv_driver".into(),
+            Json::Arr(
+                driver_programs()
+                    .iter()
+                    .map(|(name, src)| driver_row(name, src))
+                    .collect(),
+            ),
+        ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backend.json");
     std::fs::write(path, doc.to_pretty() + "\n").expect("write BENCH_backend.json");

@@ -101,8 +101,15 @@ impl BackendChoice {
     /// engine may differ only when an `Auto` explicit attempt falls back
     /// (flagged by [`RouteDecision::fell_back`]).
     pub fn route(self, target: &Target, r: &Restriction) -> RouteDecision {
-        let width = target.width();
-        let estimated_states = estimate_reachable_states(target, r);
+        self.plan(target.width(), estimate_reachable_states(target, r))
+    }
+
+    /// The one routing decision behind [`BackendChoice::route`] and the
+    /// SMV driver: plan an engine for a check of `width` propositions and
+    /// `estimated_states` states. `Auto` goes explicit at or below
+    /// [`AUTO_CROSSOVER_STATES`] and symbolic above it; the other choices
+    /// are forced.
+    pub fn plan(self, width: usize, estimated_states: u128) -> RouteDecision {
         let planned = match self {
             BackendChoice::Explicit => BackendKind::Explicit,
             BackendChoice::Symbolic => BackendKind::Symbolic,
@@ -120,6 +127,20 @@ impl BackendChoice {
             crossover: AUTO_CROSSOVER_STATES,
             planned,
             fell_back: false,
+        }
+    }
+
+    /// The limits an explicit attempt under this choice runs with. `Auto`
+    /// budgets its attempt by the cost model ([`AUTO_DENSE_BITS`], and
+    /// [`AUTO_BUDGET_SLACK`] × [`AUTO_CROSSOVER_STATES`] states), so a
+    /// wrong estimate is cheap; a forced explicit check gets the defaults.
+    pub fn explicit_limits(self) -> ExplicitLimits {
+        match self {
+            BackendChoice::Auto => ExplicitLimits {
+                dense_bits: AUTO_DENSE_BITS,
+                max_states: Some(AUTO_CROSSOVER_STATES.saturating_mul(AUTO_BUDGET_SLACK)),
+            },
+            _ => ExplicitLimits::default(),
         }
     }
 
@@ -277,15 +298,10 @@ pub fn check_planned(
     workers: usize,
 ) -> Result<Verdict, BackendError> {
     if decision.planned == BackendKind::Explicit {
-        let limits = match choice {
-            // The attempt is budgeted by the cost model: cheap to be wrong.
-            BackendChoice::Auto => ExplicitLimits {
-                dense_bits: AUTO_DENSE_BITS,
-                max_states: Some(AUTO_CROSSOVER_STATES.saturating_mul(AUTO_BUDGET_SLACK)),
-            },
-            _ => ExplicitLimits::default(),
+        let eb = ExplicitBackend {
+            limits: choice.explicit_limits(),
+            workers,
         };
-        let eb = ExplicitBackend { limits, workers };
         match eb.check(target, r, f) {
             Ok(mut v) => {
                 v.stats.route = Some(decision);
@@ -1057,6 +1073,38 @@ mod tests {
         let vs = check_routed(BackendChoice::Auto, &target, &trivial, &f).unwrap();
         assert_eq!(vs.stats.backend, BackendKind::Symbolic);
         assert_eq!(vs.stats.route, Some(d_trivial));
+        // `route` is `plan` over the estimate.
+        let est = estimate_reachable_states(&target, &pinned);
+        assert_eq!(d_pinned, BackendChoice::Auto.plan(target.width(), est));
+    }
+
+    #[test]
+    fn plan_crosses_over_at_the_calibrated_state_count() {
+        let at = AUTO_CROSSOVER_STATES as u128;
+        assert_eq!(
+            BackendChoice::Auto.plan(7, at).planned,
+            BackendKind::Explicit
+        );
+        assert_eq!(
+            BackendChoice::Auto.plan(8, at + 1).planned,
+            BackendKind::Symbolic
+        );
+        assert_eq!(
+            BackendChoice::Auto.plan(200, u128::MAX).planned,
+            BackendKind::Symbolic
+        );
+        // Forced choices ignore the estimate.
+        assert_eq!(
+            BackendChoice::Explicit.plan(8, u128::MAX).planned,
+            BackendKind::Explicit
+        );
+        assert_eq!(
+            BackendChoice::Symbolic.plan(1, 2).planned,
+            BackendKind::Symbolic
+        );
+        let d = BackendChoice::Auto.plan(8, 256);
+        assert_eq!((d.width, d.estimated_states, d.crossover), (8, 256, 128));
+        assert!(!d.fell_back);
     }
 
     #[test]

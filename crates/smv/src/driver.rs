@@ -3,14 +3,18 @@
 
 use crate::ast::Module;
 use crate::compile::{compile, CompiledModel};
-use crate::explicit::{compile_explicit, ExplicitCompiled};
+use crate::explicit::{
+    check_explicit_budget, compile_explicit, compile_explicit_with, explicit_size, ExplicitCompiled,
+};
 use crate::parse::parse_module;
+use cmc_bdd::BddManager;
 use cmc_core::engine::{Component, Engine, EngineError, Substitution};
-use cmc_core::BackendChoice;
-use cmc_ctl::Restriction;
+use cmc_core::{BackendChoice, BackendKind, RouteDecision};
+use cmc_ctl::{Formula, Restriction};
 use cmc_store::{CertStore, Entry, ObligationKey};
+use cmc_symbolic::SymbolicModel;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Any error from the driver pipeline.
 #[derive(Debug, Clone)]
@@ -26,9 +30,9 @@ pub enum DriverError {
 impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DriverError::Parse(m) => write!(f, "{m}"),
-            DriverError::Semantic(m) => write!(f, "{m}"),
-            DriverError::Check(m) => write!(f, "{m}"),
+            DriverError::Parse(m) | DriverError::Semantic(m) | DriverError::Check(m) => {
+                f.write_str(m)
+            }
         }
     }
 }
@@ -47,6 +51,11 @@ pub struct RunOutcome {
     pub cache_hits: usize,
     /// Specs verified by actually running the checker.
     pub cache_misses: usize,
+    /// The engine plan for a parsed source: its bit width, its valid-state
+    /// count `Π|domᵢ|`, the planned engine and any fallback. The report's
+    /// `route:` line renders it. `None` for pre-compiled models and
+    /// refinement runs, which are not routed.
+    pub route: Option<RouteDecision>,
 }
 
 impl RunOutcome {
@@ -56,180 +65,185 @@ impl RunOutcome {
     }
 }
 
-/// Verify every `SPEC` of an SMV program and render the SMV-style report.
+/// Verify every `SPEC` of an SMV program with the symbolic (BDD) engine
+/// and render the SMV-style report.
 pub fn run_source(src: &str) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let compiled = compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    run_compiled(compiled)
+    run_routed(src, None, BackendChoice::Symbolic)
 }
 
 /// Verify a pre-compiled model (used by programmatic model builders).
-pub fn run_compiled(mut compiled: CompiledModel) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    for (text, f) in compiled.specs.clone() {
-        let (holds, spec_lines) = check_one_spec(&mut compiled, &text, &f)?;
-        lines.extend(spec_lines);
-        results.push((text.clone(), holds));
-    }
-    let report = render_report(&compiled, lines, start.elapsed());
-    let cache_misses = results.len();
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits: 0,
-        cache_misses,
-    })
-}
-
-/// The driver's `Auto` plan: prefer the explicit engine when the model's
-/// *valid-state count* (`Π|domᵢ|`, not `2^bits`) is small enough to
-/// enumerate cheaply and the encoding fits 128 bits; route symbolic
-/// beyond. A state count rather than a bit cliff: ten three-valued enums
-/// encode to 20 bits but only 59049 states and stay explicit, while 25
-/// booleans (33M states) go to the BDD engine.
-fn auto_prefers_explicit(module: &Module) -> bool {
-    const AUTO_STATES: u128 = 1 << 16;
-    let bits: usize = module.vars.iter().map(|(_, ty)| ty.bits()).sum();
-    let states = module.vars.iter().try_fold(1u128, |acc, (_, ty)| {
-        acc.checked_mul(ty.cardinality() as u128)
-    });
-    bits <= 128 && states.is_some_and(|n| n <= AUTO_STATES)
+pub fn run_compiled(compiled: CompiledModel) -> Result<RunOutcome, DriverError> {
+    run_symbolic(compiled, None, None)
 }
 
 /// Verify every `SPEC` through the engine selected by `choice`.
 ///
-/// `Symbolic` runs the BDD checker (same pipeline as [`run_source`]);
-/// `Explicit` runs the independent explicit-state compilation (and fails
-/// with a semantic error past its [`cmc_ctl::ExplicitLimits`] state
-/// budget);
-/// `Auto` picks the explicit engine while the model's valid-state count
-/// stays enumerable and the symbolic engine beyond it — so wide models
-/// verify instead of erroring. The report's trailer names the engine
-/// that ran.
+/// `Symbolic` runs the BDD checker; `Explicit` runs the independent
+/// explicit-state compilation (and fails with a semantic error past its
+/// [`cmc_ctl::ExplicitLimits`] state budget); `Auto` plans with the
+/// engine's one cost model, [`BackendChoice::plan`], over the module's
+/// bit width and valid-state count `Π|domᵢ|`: explicit at or below
+/// [`cmc_core::AUTO_CROSSOVER_STATES`], symbolic beyond. The report's
+/// trailer names the plan (`route:`) and the engine that ran (`engine:`).
 pub fn run_source_with_backend(
     src: &str,
     choice: BackendChoice,
 ) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let use_explicit = match choice {
-        BackendChoice::Explicit => true,
-        BackendChoice::Symbolic => false,
-        BackendChoice::Auto => auto_prefers_explicit(&module),
-    };
-    if use_explicit {
-        run_module_explicit(&module)
-    } else {
-        let compiled = compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-        let mut out = run_compiled(compiled)?;
-        out.report.push_str("engine: symbolic (BDD)\n");
-        Ok(out)
-    }
+    run_routed(src, None, choice)
 }
 
-/// Verify every `SPEC` of a parsed module with the explicit-state engine.
-fn run_module_explicit(module: &Module) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    let explicit = compile_explicit(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    for (i, (text, _)) in explicit.specs.iter().enumerate() {
-        let holds = explicit
-            .check_spec(i)
-            .map_err(|e| DriverError::Check(e.to_string()))?;
-        lines.push(format!(
-            "-- specification {text} is {}",
-            if holds { "true" } else { "false" }
-        ));
-        if !holds {
-            let violating = explicit
-                .violating_init(i)
-                .map_err(|e| DriverError::Check(e.to_string()))?;
-            if let Some(s) = violating.first() {
-                lines.push("-- as demonstrated by the initial state".into());
-                for (name, value) in explicit.decode_state(*s) {
-                    lines.push(format!("   {name} = {value}"));
-                }
-            }
-        }
-        results.push((text.clone(), holds));
-    }
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         explicit states enumerated over {} propositions; {} proper transitions\n\
-         engine: explicit-state\n",
-        start.elapsed().as_secs_f64(),
-        explicit.system.alphabet().len(),
-        explicit.system.proper_transition_count(),
-    ));
-    let cache_misses = results.len();
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits: 0,
-        cache_misses,
-    })
-}
-
-/// Verify every `SPEC`, consulting `store` first: a spec whose
-/// `(normalised source, spec)` pair was verified before — in this process
-/// or loaded from disk — is answered from its stored verdict without
-/// running the checker. Fresh verdicts are memoized. Cached *failing*
-/// specs report the verdict only (the counterexample trace is not stored),
-/// and the report marks them `(verdict from certificate store)`; the
-/// `resources used:` trailer gains a hit-rate line.
+/// Verify every `SPEC` with the symbolic engine, consulting `store` first:
+/// a spec whose `(normalised source, spec)` pair was verified before — in
+/// this process or loaded from disk — is answered from its stored verdict
+/// without running the checker. Fresh verdicts are memoized. Cached
+/// *failing* specs report the verdict only (the counterexample trace is
+/// not stored), and the report marks them `(verdict from certificate
+/// store)`; the `resources used:` trailer gains a hit-rate line.
 pub fn run_source_with_store(src: &str, store: &CertStore) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    run_module_symbolic_with_store(src, &module, store)
+    run_routed(src, Some(store), BackendChoice::Symbolic)
 }
 
-/// Symbolic store-backed run over a parsed module (shared by
-/// [`run_source_with_store`] and [`run_source_with_store_and_backend`]).
-fn run_module_symbolic_with_store(
+/// Verify every `SPEC`, consulting `store` first (as
+/// [`run_source_with_store`]) **and** routing the fresh checks through
+/// the engine selected by `choice` (as [`run_source_with_backend`]).
+/// This is the daemon's entry point: all `cmc-serve` worker sessions
+/// funnel through here against one shared store.
+///
+/// Store keys are `(normalised source, spec)` pairs with no backend tag:
+/// both engines are sound over the same semantics (the testkit oracle
+/// enforces it), so a verdict computed by either engine answers both —
+/// deliberately unlike engine-level obligation keys, which stay
+/// backend-tagged because their certificates differ.
+pub fn run_source_with_store_and_backend(
     src: &str,
-    module: &Module,
     store: &CertStore,
+    choice: BackendChoice,
 ) -> Result<RunOutcome, DriverError> {
-    let warm_start = Instant::now();
-    if let Some(out) = fully_warm_outcome(src, module, store, warm_start) {
-        return Ok(out);
-    }
-    let mut compiled = compile(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
+    run_routed(src, Some(store), choice)
+}
+
+/// The one routed pipeline behind every source entry point: parse, plan,
+/// answer from the store when every spec is memoized, else compile for
+/// the planned engine and run its spec loop. An `Auto` explicit plan
+/// compiles under [`BackendChoice::explicit_limits`], as the engine's
+/// own attempts do; a module those limits refuse runs symbolically and
+/// the decision records `fell_back`.
+fn run_routed(
+    src: &str,
+    store: Option<&CertStore>,
+    choice: BackendChoice,
+) -> Result<RunOutcome, DriverError> {
+    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
+    let (bits, states) = explicit_size(&module);
+    let mut route = choice.plan(bits, states.unwrap_or(u128::MAX));
+    let limits = choice.explicit_limits();
+    let plans_explicit = route.planned == BackendKind::Explicit;
+    route.fell_back = plans_explicit
+        && choice == BackendChoice::Auto
+        && check_explicit_budget(&module, &limits).is_err();
+    let keyed = store.map(|store| (src, store));
     let start = Instant::now();
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    for (text, f) in compiled.specs.clone() {
-        let key = ObligationKey::source_spec(src, &text);
-        match store.lookup(&key) {
+    let (run, resources) = match store.and_then(|store| fully_warm(src, &module, store)) {
+        Some(run) => (
+            run,
+            "model construction skipped: every spec answered from the certificate store\n".into(),
+        ),
+        None if plans_explicit && !route.fell_back => {
+            let explicit = compile_explicit_with(&module, &limits).map_err(semantic)?;
+            let run = check_specs(&explicit.specs, keyed, |i, text, _| {
+                explicit_spec(&explicit, i, text)
+            })?;
+            let resources = format!(
+                "explicit states enumerated over {} propositions; {} proper transitions\n",
+                explicit.system.alphabet().len(),
+                explicit.system.proper_transition_count(),
+            );
+            (run, resources)
+        }
+        None => {
+            let compiled = compile(&module).map_err(semantic)?;
+            return run_symbolic(compiled, keyed, Some((choice, route)));
+        }
+    };
+    Ok(finish(run, start, resources, keyed, Some((choice, route))))
+}
+
+/// The symbolic engine's run over a compiled model.
+///
+/// Between specs only the model's registered roots are live, so the
+/// arena is collected there ([`collect_at_spec_boundary`]): after
+/// compilation and after each fresh spec. A large model's peak is about
+/// one spec's working set, not the sum of all of them.
+fn run_symbolic(
+    mut compiled: CompiledModel,
+    keyed: Option<(&str, &CertStore)>,
+    route: Option<(BackendChoice, RouteDecision)>,
+) -> Result<RunOutcome, DriverError> {
+    let start = Instant::now();
+    let mut live = collect_at_spec_boundary(&mut compiled.model, 0);
+    let specs = compiled.specs.clone();
+    let run = check_specs(&specs, keyed, |_, text, f| {
+        let checked = check_one_spec(&mut compiled, text, f);
+        live = collect_at_spec_boundary(&mut compiled.model, live);
+        checked
+    })?;
+    Ok(finish(run, start, bdd_resources(&compiled), keyed, route))
+}
+
+/// Collect `model`'s arena when it has at least doubled since the last
+/// collection left `live` nodes (the manager's own adaptive rule) and
+/// outgrown [`BddManager::INITIAL_ARENA`]: collecting a small arena frees
+/// nothing and makes later specs rebuild what it dropped. Returns the
+/// live count for the next boundary.
+fn collect_at_spec_boundary(model: &mut SymbolicModel, live: usize) -> usize {
+    let arena = model.mgr_ref().stats().live_nodes;
+    if arena >= (2 * live).max(BddManager::INITIAL_ARENA) {
+        model.gc_now().live_nodes
+    } else {
+        live
+    }
+}
+
+/// What a spec loop produced: verdicts, report lines and store traffic.
+#[derive(Default)]
+struct SpecRun {
+    results: Vec<(String, bool)>,
+    lines: Vec<String>,
+    cache_hits: usize,
+    cache_misses: usize,
+}
+
+/// The per-spec loop both engines share. With a store, a spec whose
+/// `(source, spec)` key is memoized is answered from it; every other spec
+/// runs `check(index, text, formula)`, which returns its verdict and
+/// report lines, and a fresh verdict is memoized.
+fn check_specs(
+    specs: &[(String, Formula)],
+    keyed: Option<(&str, &CertStore)>,
+    mut check: impl FnMut(usize, &str, &Formula) -> Result<(bool, Vec<String>), DriverError>,
+) -> Result<SpecRun, DriverError> {
+    let mut run = SpecRun::default();
+    for (i, (text, f)) in specs.iter().enumerate() {
+        let key = keyed.map(|(src, store)| (ObligationKey::source_spec(src, text), store));
+        let holds = match key.as_ref().and_then(|(key, store)| store.lookup(key)) {
             Some(entry) => {
-                cache_hits += 1;
-                lines.push(format!(
-                    "-- specification {text} is {} (verdict from certificate store)",
-                    if entry.verdict { "true" } else { "false" }
-                ));
-                results.push((text.clone(), entry.verdict));
+                run.cache_hits += 1;
+                run.lines.push(stored_line(text, entry.verdict));
+                entry.verdict
             }
             None => {
-                cache_misses += 1;
-                let (holds, spec_lines) = check_one_spec(&mut compiled, &text, &f)?;
-                store.insert(key, Entry::verdict(holds));
-                lines.extend(spec_lines);
-                results.push((text.clone(), holds));
+                run.cache_misses += 1;
+                let (holds, lines) = check(i, text, f)?;
+                if let Some((key, store)) = key {
+                    store.insert(key, Entry::verdict(holds));
+                }
+                run.lines.extend(lines);
+                holds
             }
-        }
+        };
+        run.results.push((text.clone(), holds));
     }
-    let mut report = render_report(&compiled, lines, start.elapsed());
-    report.push_str(&store_trailer(store, cache_hits, cache_misses));
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits,
-        cache_misses,
-    })
+    Ok(run)
 }
 
 /// Fully-warm fast path: when **every** spec of the module is already
@@ -239,39 +253,83 @@ fn run_module_symbolic_with_store(
 /// keys match what a cold run stored. Returns `None` — falling back to
 /// the compiling path — on the first miss, or when the module has no
 /// specs (so semantic errors still surface).
-fn fully_warm_outcome(
-    src: &str,
-    module: &Module,
-    store: &CertStore,
-    start: Instant,
-) -> Option<RunOutcome> {
+fn fully_warm(src: &str, module: &Module, store: &CertStore) -> Option<SpecRun> {
     if module.specs.is_empty() {
         return None;
     }
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
+    let mut run = SpecRun::default();
     for (text, _) in &module.specs {
         let entry = store.lookup(&ObligationKey::source_spec(src, text))?;
-        lines.push(format!(
-            "-- specification {text} is {} (verdict from certificate store)",
-            if entry.verdict { "true" } else { "false" }
-        ));
-        results.push((text.clone(), entry.verdict));
+        run.cache_hits += 1;
+        run.lines.push(stored_line(text, entry.verdict));
+        run.results.push((text.clone(), entry.verdict));
     }
-    let cache_hits = results.len();
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         model construction skipped: every spec answered from the certificate store\n",
+    Some(run)
+}
+
+/// Assemble the report: spec lines, then the SMV-style `resources used:`
+/// trailer — user time, the engine's `resources` lines, the store block
+/// (store-backed runs), the `route:` line (routed runs) and the
+/// `engine:` line.
+fn finish(
+    run: SpecRun,
+    start: Instant,
+    resources: String,
+    keyed: Option<(&str, &CertStore)>,
+    route: Option<(BackendChoice, RouteDecision)>,
+) -> RunOutcome {
+    let mut report = format!(
+        "{}\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n{resources}",
+        run.lines.join("\n"),
         start.elapsed().as_secs_f64(),
-    ));
-    report.push_str(&store_trailer(store, cache_hits, 0));
-    Some(RunOutcome {
-        results,
+    );
+    if let Some((_, store)) = keyed {
+        report.push_str(&store_trailer(store, run.cache_hits, run.cache_misses));
+    }
+    if let Some((choice, decision)) = &route {
+        report.push_str(&route_line(*choice, decision));
+    }
+    // The engine that ran: the planned one unless an `Auto` plan fell
+    // back (unrouted pre-compiled models run symbolically).
+    report.push_str(match route {
+        Some((_, d)) if d.planned == BackendKind::Explicit && !d.fell_back => {
+            "engine: explicit-state\n"
+        }
+        _ => "engine: symbolic (BDD)\n",
+    });
+    RunOutcome {
+        results: run.results,
         report,
-        cache_hits,
-        cache_misses: 0,
-    })
+        cache_hits: run.cache_hits,
+        cache_misses: run.cache_misses,
+        route: route.map(|(_, decision)| decision),
+    }
+}
+
+/// The trailer's `route:` line: the policy, the planned engine and the
+/// valid-state count it was planned on, and any fallback.
+fn route_line(choice: BackendChoice, d: &RouteDecision) -> String {
+    let states = match d.estimated_states {
+        u128::MAX => "over 2^128".to_string(),
+        n => n.to_string(),
+    };
+    if choice != BackendChoice::Auto {
+        return format!("route: {} requested ({states} valid states)\n", d.planned);
+    }
+    let side = if d.estimated_states <= d.crossover as u128 {
+        "<="
+    } else {
+        ">"
+    };
+    let fallback = if d.fell_back {
+        "; explicit budget refused, fell back to symbolic"
+    } else {
+        ""
+    };
+    format!(
+        "route: auto planned {} ({states} valid states {side} {} crossover){fallback}\n",
+        d.planned, d.crossover
+    )
 }
 
 /// The store block of the `resources used:` trailer: the per-run hit
@@ -301,130 +359,62 @@ fn store_trailer(store: &CertStore, cache_hits: usize, cache_misses: usize) -> S
     )
 }
 
-/// Verify every `SPEC`, consulting `store` first (as
-/// [`run_source_with_store`]) **and** routing the fresh checks through
-/// the engine selected by `choice` (as [`run_source_with_backend`]).
-/// This is the daemon's entry point: all `cmc-serve` worker sessions
-/// funnel through here against one shared store.
-///
-/// Store keys are `(normalised source, spec)` pairs with no backend tag:
-/// both engines are sound over the same semantics (the testkit oracle
-/// enforces it), so a verdict computed by either engine answers both —
-/// deliberately unlike engine-level obligation keys, which stay
-/// backend-tagged because their certificates differ.
-pub fn run_source_with_store_and_backend(
-    src: &str,
-    store: &CertStore,
-    choice: BackendChoice,
-) -> Result<RunOutcome, DriverError> {
-    let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let use_explicit = match choice {
-        BackendChoice::Explicit => true,
-        BackendChoice::Symbolic => false,
-        BackendChoice::Auto => auto_prefers_explicit(&module),
-    };
-    if use_explicit {
-        run_module_explicit_with_store(src, &module, store)
-    } else {
-        let mut out = run_module_symbolic_with_store(src, &module, store)?;
-        out.report.push_str("engine: symbolic (BDD)\n");
-        Ok(out)
-    }
+fn semantic(e: impl fmt::Display) -> DriverError {
+    DriverError::Semantic(e.to_string())
 }
 
-/// Explicit-state store-backed run over a parsed module.
-fn run_module_explicit_with_store(
-    src: &str,
-    module: &Module,
-    store: &CertStore,
-) -> Result<RunOutcome, DriverError> {
-    let start = Instant::now();
-    if let Some(mut out) = fully_warm_outcome(src, module, store, start) {
-        out.report.push_str("engine: explicit-state\n");
-        return Ok(out);
-    }
-    let explicit = compile_explicit(module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let mut results = Vec::new();
-    let mut lines = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    for (i, (text, _)) in explicit.specs.iter().enumerate() {
-        let key = ObligationKey::source_spec(src, text);
-        match store.lookup(&key) {
-            Some(entry) => {
-                cache_hits += 1;
-                lines.push(format!(
-                    "-- specification {text} is {} (verdict from certificate store)",
-                    if entry.verdict { "true" } else { "false" }
-                ));
-                results.push((text.clone(), entry.verdict));
-            }
-            None => {
-                cache_misses += 1;
-                let holds = explicit
-                    .check_spec(i)
-                    .map_err(|e| DriverError::Check(e.to_string()))?;
-                store.insert(key, Entry::verdict(holds));
-                lines.push(format!(
-                    "-- specification {text} is {}",
-                    if holds { "true" } else { "false" }
-                ));
-                if !holds {
-                    let violating = explicit
-                        .violating_init(i)
-                        .map_err(|e| DriverError::Check(e.to_string()))?;
-                    if let Some(s) = violating.first() {
-                        lines.push("-- as demonstrated by the initial state".into());
-                        for (name, value) in explicit.decode_state(*s) {
-                            lines.push(format!("   {name} = {value}"));
-                        }
-                    }
-                }
-                results.push((text.clone(), holds));
+fn check_error(e: impl fmt::Display) -> DriverError {
+    DriverError::Check(e.to_string())
+}
+
+fn verdict_line(text: &str, holds: bool) -> String {
+    format!("-- specification {text} is {holds}")
+}
+
+fn stored_line(text: &str, holds: bool) -> String {
+    format!("-- specification {text} is {holds} (verdict from certificate store)")
+}
+
+/// Check one spec on the explicit engine: its verdict and report lines,
+/// with the first violating initial state for failures.
+fn explicit_spec(
+    explicit: &ExplicitCompiled,
+    i: usize,
+    text: &str,
+) -> Result<(bool, Vec<String>), DriverError> {
+    let holds = explicit.check_spec(i).map_err(check_error)?;
+    let mut lines = vec![verdict_line(text, holds)];
+    if !holds {
+        let violating = explicit.violating_init(i).map_err(check_error)?;
+        if let Some(s) = violating.first() {
+            lines.push("-- as demonstrated by the initial state".into());
+            for (name, value) in explicit.decode_state(*s) {
+                lines.push(format!("   {name} = {value}"));
             }
         }
     }
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         explicit states enumerated over {} propositions; {} proper transitions\n",
-        start.elapsed().as_secs_f64(),
-        explicit.system.alphabet().len(),
-        explicit.system.proper_transition_count(),
-    ));
-    report.push_str(&store_trailer(store, cache_hits, cache_misses));
-    report.push_str("engine: explicit-state\n");
-    Ok(RunOutcome {
-        results,
-        report,
-        cache_hits,
-        cache_misses,
-    })
+    Ok((holds, lines))
 }
 
-/// Check one spec, returning its verdict and its report lines (including
-/// the counterexample trace for failures).
+/// Check one spec on the symbolic engine, returning its verdict and its
+/// report lines (including the counterexample trace for failures).
 fn check_one_spec(
     compiled: &mut CompiledModel,
     text: &str,
-    f: &cmc_ctl::Formula,
+    f: &Formula,
 ) -> Result<(bool, Vec<String>), DriverError> {
-    let mut lines = Vec::new();
     let verdict = compiled
         .model
         .check(&Restriction::trivial(), f)
-        .map_err(|e| DriverError::Check(e.to_string()))?;
-    lines.push(format!(
-        "-- specification {text} is {}",
-        if verdict.holds { "true" } else { "false" }
-    ));
+        .map_err(check_error)?;
+    let mut lines = vec![verdict_line(text, verdict.holds)];
     if !verdict.holds {
         lines.push("-- as demonstrated by the following execution sequence".into());
         // For a failed AG over a propositional body, show the full
         // path from an initial state to the violation (SMV style);
         // otherwise show the violating initial state.
         let trace = match f {
-            cmc_ctl::Formula::Ag(body) if body.is_propositional() => compiled
+            Formula::Ag(body) if body.is_propositional() => compiled
                 .model
                 .prop_to_bdd(body)
                 .ok()
@@ -452,23 +442,21 @@ fn check_one_spec(
     Ok((verdict.holds, lines))
 }
 
-/// Assemble spec lines plus the SMV-style `resources used:` trailer.
-fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Duration) -> String {
+/// The symbolic engine's `resources used:` lines: the paper's BDD
+/// figures plus the memory-kernel and schedule counters.
+fn bdd_resources(compiled: &CompiledModel) -> String {
     let stats = compiled.model.mgr_ref().stats();
     let parts = compiled.model.trans_parts();
     let trans_nodes = compiled.model.mgr_ref().node_count_many(&parts);
     let aux = compiled.model.num_state_vars();
-    let mut report = lines.join("\n");
-    report.push_str(&format!(
-        "\n\nresources used:\nuser time: {:.7} s, system time: 0 s\n\
-         BDD nodes allocated: {}\nBytes allocated: {}\n\
+    let mut out = format!(
+        "BDD nodes allocated: {}\nBytes allocated: {}\n\
          BDD nodes live: {} (peak {})\n\
          garbage collections: {} (reclaimed {} nodes)\n\
          cache evictions: {}\n\
          and-exists cache: {} hits / {} misses\n\
          transition relation: {} disjunctive partition(s), early quantification\n\
          BDD nodes representing transition relation: {} + {}\n",
-        user_time.as_secs_f64(),
         stats.nodes_allocated,
         stats.bytes_allocated,
         stats.live_nodes,
@@ -481,15 +469,15 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
         parts.len(),
         trans_nodes,
         aux
-    ));
+    );
     if let Some(sched) = compiled.model.schedule_stats() {
-        report.push_str(&format!(
+        out.push_str(&format!(
             "quantification schedule: {} cluster(s) merged from {} partition(s), \
              {} re-plan(s)\n",
             sched.clusters_after, sched.clusters_before, sched.replans
         ));
     }
-    report
+    out
 }
 
 /// Verify every `SPEC` with **both** engines — the symbolic (BDD) checker
@@ -500,15 +488,11 @@ fn render_report(compiled: &CompiledModel, lines: Vec<String>, user_time: Durati
 /// [`cmc_ctl::ExplicitLimits`]).
 pub fn run_source_validated(src: &str) -> Result<RunOutcome, DriverError> {
     let module = parse_module(src).map_err(|e| DriverError::Parse(e.to_string()))?;
-    let compiled =
-        crate::compile::compile(&module).map_err(|e| DriverError::Semantic(e.to_string()))?;
-    let explicit = crate::explicit::compile_explicit(&module)
-        .map_err(|e| DriverError::Semantic(e.to_string()))?;
+    let compiled = compile(&module).map_err(semantic)?;
+    let explicit = compile_explicit(&module).map_err(semantic)?;
     let outcome = run_compiled(compiled)?;
     for (i, (text, symbolic_verdict)) in outcome.results.iter().enumerate() {
-        let explicit_verdict = explicit
-            .check_spec(i)
-            .map_err(|e| DriverError::Check(e.to_string()))?;
+        let explicit_verdict = explicit.check_spec(i).map_err(check_error)?;
         if *symbolic_verdict != explicit_verdict {
             return Err(DriverError::Check(format!(
                 "ENGINE DISAGREEMENT on spec {text:?}: symbolic says {symbolic_verdict}, \
@@ -577,7 +561,7 @@ pub fn run_refine(
             .map_err(|e| DriverError::Semantic(format!("property module INIT: {e}")))?;
         init = Some(match init {
             None => f,
-            Some(acc) => cmc_ctl::Formula::and(acc, f),
+            Some(acc) => Formula::and(acc, f),
         });
     }
     let mut fairness = Vec::new();
@@ -647,6 +631,7 @@ pub fn run_refine(
         report,
         cache_hits: 0,
         cache_misses,
+        route: None,
     })
 }
 
@@ -829,6 +814,19 @@ mod tests {
         let auto = run_source_with_backend(&src, BackendChoice::Auto).unwrap();
         assert!(auto.all_true(), "{}", auto.report);
         assert!(auto.report.contains("engine: symbolic (BDD)"));
+    }
+
+    #[test]
+    fn route_line_flags_a_fallback() {
+        let fell_back = RouteDecision {
+            fell_back: true,
+            ..BackendChoice::Auto.plan(300, 1)
+        };
+        assert_eq!(
+            route_line(BackendChoice::Auto, &fell_back),
+            "route: auto planned explicit (1 valid states <= 128 crossover); \
+             explicit budget refused, fell back to symbolic\n"
+        );
     }
 
     #[test]

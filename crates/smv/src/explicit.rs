@@ -73,6 +73,39 @@ struct Ctx<'m> {
     domains: Vec<Vec<String>>,
 }
 
+/// The size of `module` as explicit compilation enumerates it: the encoded
+/// bit width `Σ bitsᵢ` and the valid-state count `Π|domᵢ|` (`None` past
+/// `u128`).
+pub(crate) fn explicit_size(module: &Module) -> (usize, Option<u128>) {
+    let bits = module.vars.iter().map(|(_, ty)| ty.bits()).sum();
+    let states = module.vars.iter().try_fold(1u128, |acc, (_, ty)| {
+        acc.checked_mul(ty.cardinality() as u128)
+    });
+    (bits, states)
+}
+
+/// Refuse, before any enumeration, a module `limits` cannot enumerate:
+/// past the 128-bit `State` encoding or past the state budget.
+pub(crate) fn check_explicit_budget(
+    module: &Module,
+    limits: &ExplicitLimits,
+) -> Result<(), SemError> {
+    let (bits, valid_count) = explicit_size(module);
+    if bits > 128 {
+        return Err(SemError(format!(
+            "explicit compilation limited to 128 encoded bits, model needs {bits}"
+        )));
+    }
+    let budget = limits.state_budget() as u128;
+    match valid_count {
+        Some(n) if n <= budget => Ok(()),
+        _ => Err(SemError(format!(
+            "explicit compilation budgeted to {budget} states, model has {} valid states",
+            valid_count.map_or_else(|| "over 2^128".to_string(), |n| n.to_string())
+        ))),
+    }
+}
+
 /// Compile a module to an explicit system under the default
 /// [`ExplicitLimits`]. Runs the semantic checker.
 pub fn compile_explicit(module: &Module) -> Result<ExplicitCompiled, SemError> {
@@ -114,25 +147,7 @@ pub fn compile_explicit_with(
             bit_names: names,
         });
     }
-    let total_bits: usize = vars.iter().map(|v| v.bit_names.len()).sum();
-    if total_bits > 128 {
-        return Err(SemError(format!(
-            "explicit compilation limited to 128 encoded bits, model needs {total_bits}"
-        )));
-    }
-    let valid_count = domains
-        .iter()
-        .try_fold(1u128, |acc, d| acc.checked_mul(d.len() as u128));
-    let budget = limits.state_budget() as u128;
-    match valid_count {
-        Some(n) if n <= budget => {}
-        _ => {
-            return Err(SemError(format!(
-                "explicit compilation budgeted to {budget} states, model has {} valid states",
-                valid_count.map_or_else(|| "over 2^128".to_string(), |n| n.to_string())
-            )))
-        }
-    }
+    check_explicit_budget(module, limits)?;
     let alphabet = Alphabet::new(bit_names);
     let ctx = Ctx {
         syms,

@@ -13,7 +13,7 @@ use crate::json::Json;
 use crate::key::ObligationKey;
 use crate::store::CertStore;
 use cmc_kripke::{Alphabet, State, System};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Format marker and version written to every store file.
@@ -120,13 +120,26 @@ impl DiskStore {
 /// Write `bytes` to `path` atomically: write a temporary sibling, then
 /// rename it into place. Readers see either the old file or the new one.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, |out| out.write_all(bytes))
+}
+
+/// [`write_atomic`] for a document produced piece by piece: `write`
+/// streams it into a buffered writer on the temporary sibling.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
     let file_name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "store".to_string());
     let tmp = path.with_file_name(format!(".tmp-{}-{file_name}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
+    let written = std::fs::File::create(&tmp).and_then(|file| {
+        let mut out = io::BufWriter::new(file);
+        write(&mut out)?;
+        out.flush()
+    });
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
         Ok(()) => Ok(()),
         Err(e) => {
             std::fs::remove_file(&tmp).ok();

@@ -120,7 +120,9 @@ impl Json {
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    /// Append the [`Json::to_pretty`] rendering of this value as it
+    /// appears nested `indent` levels deep (no trailing newline).
+    pub(crate) fn write_pretty(&self, out: &mut String, indent: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 out.push_str("[\n");
@@ -157,14 +159,55 @@ impl Json {
     /// Parse a JSON document (must consume the whole input, modulo
     /// trailing whitespace).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
+        let mut cursor = Cursor::new(input);
+        let value = cursor.value()?;
+        if !cursor.at_end() {
+            return Err(format!("trailing garbage at byte {}", cursor.pos));
         }
         Ok(value)
+    }
+}
+
+/// A position in JSON text, for readers that take a document apart one
+/// value at a time instead of building its whole tree with
+/// [`Json::parse`]. Every step skips leading whitespace.
+pub(crate) struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Consume the byte `b` if it comes next.
+    pub(crate) fn eat(&mut self, b: u8) -> bool {
+        skip_ws(self.bytes, &mut self.pos);
+        let next = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    /// Parse the string that comes next.
+    pub(crate) fn string(&mut self) -> Result<String, String> {
+        skip_ws(self.bytes, &mut self.pos);
+        parse_string(self.bytes, &mut self.pos)
+    }
+
+    /// Parse the value that comes next.
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
+        parse_value(self.bytes, &mut self.pos)
+    }
+
+    /// Is only whitespace left?
+    pub(crate) fn at_end(&mut self) -> bool {
+        skip_ws(self.bytes, &mut self.pos);
+        self.pos == self.bytes.len()
     }
 }
 

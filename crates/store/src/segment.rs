@@ -25,13 +25,13 @@
 //! evictions, resulting disk bytes) lands in the attached store's
 //! [`crate::StoreStats`].
 
-use crate::disk::{entry_from_json, entry_to_json, write_atomic};
+use crate::disk::{entry_from_json, entry_to_json, write_atomic_with};
 use crate::entry::Entry;
-use crate::json::Json;
+use crate::json::{Cursor, Json};
 use crate::key::ObligationKey;
 use crate::store::CertStore;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -85,12 +85,11 @@ impl SegmentedDiskStore {
     pub fn append(&self, entries: &[(ObligationKey, Entry)]) -> io::Result<u64> {
         let mut next = self.writer.lock().expect("segment writer poisoned");
         let seq = *next;
-        let items: Vec<Json> = entries
-            .iter()
-            .map(|(key, entry)| entry_to_json(*key, entry))
-            .collect();
-        let doc = segment_doc(seq, items);
-        write_atomic(&self.segment_path(seq), doc.to_pretty().as_bytes())?;
+        write_segment(
+            &self.segment_path(seq),
+            seq,
+            entries.iter().map(|(key, entry)| (*key, entry)),
+        )?;
         *next = seq + 1;
         Ok(seq)
     }
@@ -116,28 +115,10 @@ impl SegmentedDiskStore {
     /// Returns the number of entries accepted.
     pub fn load_into(&self, store: &CertStore) -> io::Result<usize> {
         let mut accepted = 0usize;
-        for (seq, path) in self.list_segments()? {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                // Unlinked by a racing compactor after we listed the
-                // directory: its contents live on in the merged segment.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let Some(items) = parse_segment(&text, seq) else {
-                store.count_segment_skip();
-                continue;
-            };
-            for item in items {
-                match entry_from_json(&item) {
-                    Some((key, entry)) => {
-                        store.install_from_disk(key, entry);
-                        accepted += 1;
-                    }
-                    None => store.count_disk_reject(),
-                }
-            }
-        }
+        read_segments(&self.list_segments()?, store, |key, entry| {
+            store.install_from_disk(key, entry);
+            accepted += 1;
+        })?;
         store.note_disk_bytes(self.disk_bytes()?);
         Ok(accepted)
     }
@@ -158,51 +139,35 @@ impl SegmentedDiskStore {
         // budget eviction.
         let mut order: Vec<ObligationKey> = Vec::new();
         let mut merged: HashMap<ObligationKey, Entry> = HashMap::new();
-        for (seq, path) in &segments {
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            let Some(items) = parse_segment(&text, *seq) else {
-                store.count_segment_skip();
-                continue;
-            };
-            for item in items {
-                if let Some((key, entry)) = entry_from_json(&item) {
-                    if merged.insert(key, entry).is_none() {
-                        order.push(key);
-                    }
-                } else {
-                    store.count_disk_reject();
-                }
+        read_segments(&segments, store, |key, entry| {
+            if merged.insert(key, entry).is_none() {
+                order.push(key);
             }
-        }
+        })?;
 
         // Apply the byte budget: serialised entry sizes, evict oldest
         // until the projected segment fits.
-        let mut items: Vec<Json> = order
-            .iter()
-            .map(|key| entry_to_json(*key, &merged[key]))
-            .collect();
         let mut budget_evicted = 0usize;
         if let Some(budget) = budget_bytes {
-            let sizes: Vec<u64> = items
+            let sizes: Vec<u64> = order
                 .iter()
-                .map(|json| json.to_compact().len() as u64)
+                .map(|key| entry_to_json(*key, &merged[key]).to_compact().len() as u64)
                 .collect();
             let mut total: u64 = sizes.iter().sum();
             while total > budget && budget_evicted < sizes.len() {
                 total -= sizes[budget_evicted];
                 budget_evicted += 1;
             }
-            items.drain(..budget_evicted);
         }
 
         let seq = *next;
-        let entries_kept = items.len();
-        let doc = segment_doc(seq, items);
-        write_atomic(&self.segment_path(seq), doc.to_pretty().as_bytes())?;
+        let kept = &order[budget_evicted..];
+        let entries_kept = kept.len();
+        write_segment(
+            &self.segment_path(seq),
+            seq,
+            kept.iter().map(|key| (*key, &merged[key])),
+        )?;
         *next = seq + 1;
         // The merged segment is durable under its live name; only now
         // unlink the inputs. A reader racing this sees merged + some
@@ -365,29 +330,131 @@ impl Drop for Compactor {
     }
 }
 
-fn segment_doc(seq: u64, items: Vec<Json>) -> Json {
-    Json::Obj(vec![
-        ("format".to_string(), Json::Str(FORMAT.to_string())),
-        ("version".to_string(), Json::int(VERSION)),
-        ("seq".to_string(), Json::int(seq)),
-        ("entries".to_string(), Json::Arr(items)),
-    ])
+/// Read `segments` in the order given, handing each intact segment's
+/// entries to `each` in file order once the whole segment has parsed.
+/// Damaged or foreign segments are counted as skipped in `store` and
+/// contribute nothing; entries failing their checksum count
+/// `disk_rejects`. At most one segment's text and decoded entries are
+/// held at a time, never a document tree.
+fn read_segments(
+    segments: &[(u64, PathBuf)],
+    store: &CertStore,
+    mut each: impl FnMut(ObligationKey, Entry),
+) -> io::Result<()> {
+    for (seq, path) in segments {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            // Unlinked by a racing compactor after we listed the
+            // directory: its contents live on in the merged segment.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        match read_segment(&text, *seq) {
+            Some((decoded, rejects)) => {
+                for _ in 0..rejects {
+                    store.count_disk_reject();
+                }
+                for (key, entry) in decoded {
+                    each(key, entry);
+                }
+            }
+            None => store.count_segment_skip(),
+        }
+    }
+    Ok(())
 }
 
-/// Parse a segment document, checking header and sequence; `None` means
-/// the segment is damaged or foreign and must be skipped.
-fn parse_segment(text: &str, seq: u64) -> Option<Vec<Json>> {
-    let doc = Json::parse(text).ok()?;
-    let header_ok = doc.get("format").and_then(Json::as_str) == Some(FORMAT)
-        && doc.get("version").and_then(Json::as_num) == Some(VERSION as f64)
-        && doc.get("seq").and_then(Json::as_num) == Some(seq as f64);
-    if !header_ok {
+/// Write segment `seq` holding `entries` to `path` atomically, rendering
+/// one entry at a time. The bytes are those of the whole document
+/// `{"format", "version", "seq", "entries": [...]}` rendered by
+/// [`Json::to_pretty`].
+fn write_segment<'e>(
+    path: &Path,
+    seq: u64,
+    entries: impl Iterator<Item = (ObligationKey, &'e Entry)>,
+) -> io::Result<()> {
+    write_atomic_with(path, |out| {
+        let mut text = format!(
+            "{{\n  \"format\": {},\n  \"version\": {},\n  \"seq\": {},\n  \"entries\": [",
+            Json::Str(FORMAT.to_string()).to_compact(),
+            Json::int(VERSION).to_compact(),
+            Json::int(seq).to_compact(),
+        );
+        let mut empty = true;
+        for (key, entry) in entries {
+            text.push_str(if empty { "\n    " } else { ",\n    " });
+            empty = false;
+            entry_to_json(key, entry).write_pretty(&mut text, 2);
+            out.write_all(text.as_bytes())?;
+            text.clear();
+        }
+        text.push_str(if empty { "]\n}\n" } else { "\n  ]\n}\n" });
+        out.write_all(text.as_bytes())
+    })
+}
+
+/// Parse segment `seq` one entry at a time, never building its document
+/// tree: the decoded entries in file order and the number failing their
+/// checksum. `None` — skip the segment whole, merging none of its
+/// entries — when the text does not parse to its end or the header is
+/// not this format, version and sequence number.
+fn read_segment(text: &str, seq: u64) -> Option<(Vec<(ObligationKey, Entry)>, usize)> {
+    let mut cursor = Cursor::new(text);
+    let mut header = Vec::new();
+    let mut entries = None;
+    if !cursor.eat(b'{') {
         return None;
     }
-    let Json::Obj(fields) = doc else { return None };
-    match fields.into_iter().find(|(k, _)| k == "entries")?.1 {
-        Json::Arr(items) => Some(items),
-        _ => None,
+    loop {
+        let name = cursor.string().ok()?;
+        if !cursor.eat(b':') {
+            return None;
+        }
+        if name == "entries" && entries.is_none() {
+            entries = Some(read_entries(&mut cursor)?);
+        } else {
+            header.push((name, cursor.value().ok()?));
+        }
+        if cursor.eat(b'}') {
+            break;
+        }
+        if !cursor.eat(b',') {
+            return None;
+        }
+    }
+    let header = Json::Obj(header);
+    let header_ok = cursor.at_end()
+        && header.get("format").and_then(Json::as_str) == Some(FORMAT)
+        && header.get("version").and_then(Json::as_num) == Some(VERSION as f64)
+        && header.get("seq").and_then(Json::as_num) == Some(seq as f64);
+    if header_ok {
+        entries
+    } else {
+        None
+    }
+}
+
+/// The `entries` array of a segment, decoded element by element.
+fn read_entries(cursor: &mut Cursor<'_>) -> Option<(Vec<(ObligationKey, Entry)>, usize)> {
+    let mut entries = Vec::new();
+    let mut rejects = 0;
+    if !cursor.eat(b'[') {
+        return None;
+    }
+    if cursor.eat(b']') {
+        return Some((entries, rejects));
+    }
+    loop {
+        match entry_from_json(&cursor.value().ok()?) {
+            Some(entry) => entries.push(entry),
+            None => rejects += 1,
+        }
+        if cursor.eat(b']') {
+            return Some((entries, rejects));
+        }
+        if !cursor.eat(b',') {
+            return None;
+        }
     }
 }
 
@@ -415,7 +482,6 @@ fn next_sequence(dir: &Path) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
 
     fn key(n: u128) -> ObligationKey {
         ObligationKey(n)
@@ -479,6 +545,92 @@ mod tests {
         assert_eq!(stats.segments_skipped, 1, "skip is counted, not fatal");
         assert_eq!(stats.disk_rejects, 0);
         let _ = s0;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The whole-document writer segments were rendered with before
+    /// writing streamed: the reference for byte-identical output.
+    fn whole_document(seq: u64, entries: &[(ObligationKey, Entry)]) -> String {
+        let items = entries
+            .iter()
+            .map(|(key, entry)| entry_to_json(*key, entry))
+            .collect();
+        Json::Obj(vec![
+            ("format".to_string(), Json::Str(FORMAT.to_string())),
+            ("version".to_string(), Json::int(VERSION)),
+            ("seq".to_string(), Json::int(seq)),
+            ("entries".to_string(), Json::Arr(items)),
+        ])
+        .to_pretty()
+    }
+
+    #[test]
+    fn streamed_segments_are_byte_identical_to_whole_documents() {
+        use crate::entry::{StoredCertificate, StoredStep};
+        let cert = StoredCertificate {
+            goal: "C0 \u{2218} C1 \u{22a8} AG \"p\"\n\tq".to_string(),
+            steps: vec![StoredStep {
+                description: "component C0 \\ rule 4".to_string(),
+                ok: true,
+                compositional: true,
+                backend: Some("explicit".to_string()),
+            }],
+            valid: true,
+            abstractions: vec![],
+        };
+        let dir = tmp_dir("golden");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        let sets: [Vec<(ObligationKey, Entry)>; 3] = [
+            vec![],
+            vec![(key(7), Entry::verdict(false))],
+            vec![
+                (key(u128::MAX), Entry::with_certificate(true, cert)),
+                (key(0), Entry::verdict(true)),
+                (key(1 << 90), Entry::verdict(false)),
+            ],
+        ];
+        for entries in &sets {
+            let seq = disk.append(entries).unwrap();
+            let written = std::fs::read_to_string(disk.segment_path(seq)).unwrap();
+            assert_eq!(written, whole_document(seq, entries));
+        }
+        // Compaction streams its merged segment the same way.
+        let store = CertStore::new();
+        disk.compact(&store, None).unwrap();
+        let (seq, path) = disk.list_segments().unwrap().pop().unwrap();
+        let merged = [sets[1].clone(), sets[2].clone()].concat();
+        assert_eq!(
+            std::fs::read_to_string(path).unwrap(),
+            whole_document(seq, &merged)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_skips_a_truncated_middle_segment_whole() {
+        let dir = tmp_dir("truncated-middle");
+        let disk = SegmentedDiskStore::open(&dir).unwrap();
+        disk.append(&[(key(1), Entry::verdict(true))]).unwrap();
+        let middle: Vec<_> = (10..20u128)
+            .map(|n| (key(n), Entry::verdict(true)))
+            .collect();
+        let torn = disk.append(&middle).unwrap();
+        disk.append(&[(key(2), Entry::verdict(false))]).unwrap();
+        // Cut the middle segment after most of its entries: the ones
+        // before the cut parse, but the segment as a whole does not.
+        let path = disk.segment_path(torn);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() * 3 / 4]).unwrap();
+
+        let store = CertStore::new();
+        let report = disk.compact(&store, None).unwrap();
+        assert_eq!(store.stats().segments_skipped, 1);
+        assert_eq!(store.stats().disk_rejects, 0);
+        assert_eq!((report.segments_merged, report.entries_kept), (3, 2));
+        let reloaded = CertStore::new();
+        assert_eq!(disk.load_into(&reloaded).unwrap(), 2);
+        let keys: Vec<u128> = reloaded.snapshot().iter().map(|(k, _)| k.0).collect();
+        assert_eq!(keys, vec![1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -624,11 +776,9 @@ mod tests {
             .into_iter()
             .map(|(seq, path)| {
                 let text = std::fs::read_to_string(path).unwrap();
-                parse_segment(&text, seq)
-                    .unwrap()
-                    .iter()
-                    .map(|item| entry_from_json(item).unwrap().0 .0)
-                    .collect()
+                let (entries, rejects) = read_segment(&text, seq).unwrap();
+                assert_eq!(rejects, 0);
+                entries.iter().map(|(key, _)| key.0).collect()
             })
             .collect()
     }

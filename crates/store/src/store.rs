@@ -4,7 +4,7 @@ use crate::entry::Entry;
 use crate::key::ObligationKey;
 use crate::stats::StoreStats;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Default capacity: plenty for every obligation of the paper's case
 /// studies while bounding memory for adversarial workloads.
@@ -21,9 +21,44 @@ struct Slot {
 
 struct Inner {
     map: HashMap<ObligationKey, Slot>,
+    /// One entry per resident key, filed under a tick at or before its
+    /// slot's `last_used` (lookups only bump the slot): the LRU victim is
+    /// found from the front without scanning the map.
+    recency: BTreeMap<u64, ObligationKey>,
     /// Logical clock for LRU bookkeeping (bumped on every touch).
     clock: u64,
     stats: StoreStats,
+}
+
+impl Inner {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Put `slot` under `key`, filing a new key in `recency`.
+    fn put(&mut self, key: ObligationKey, slot: Slot) {
+        let tick = slot.last_used;
+        if self.map.insert(key, slot).is_none() {
+            self.recency.insert(tick, key);
+        }
+    }
+
+    /// Evict the least-recently-used entry. An index entry filed before
+    /// its slot's `last_used` is stale: it is re-filed under `last_used`
+    /// and the scan goes on. The first current entry is the exact LRU
+    /// victim, since every slot's `last_used` is at least its filed tick.
+    fn evict_lru(&mut self) -> bool {
+        while let Some((tick, key)) = self.recency.pop_first() {
+            let used = self.map[&key].last_used;
+            if used == tick {
+                self.map.remove(&key);
+                return true;
+            }
+            self.recency.insert(used, key);
+        }
+        false
+    }
 }
 
 /// A content-addressed, thread-safe store of verification outcomes.
@@ -51,6 +86,7 @@ impl CertStore {
         CertStore {
             inner: RwLock::new(Inner {
                 map: HashMap::new(),
+                recency: BTreeMap::new(),
                 clock: 0,
                 stats: StoreStats::default(),
             }),
@@ -61,8 +97,7 @@ impl CertStore {
     /// Look up an obligation, counting a hit or miss.
     pub fn lookup(&self, key: &ObligationKey) -> Option<Entry> {
         let mut inner = self.inner.write();
-        inner.clock += 1;
-        let clock = inner.clock;
+        let clock = inner.tick();
         match inner.map.get_mut(key) {
             Some(slot) => {
                 slot.last_used = clock;
@@ -81,22 +116,13 @@ impl CertStore {
     /// store is full. Re-inserting an existing key overwrites in place.
     pub fn insert(&self, key: ObligationKey, entry: Entry) {
         let mut inner = self.inner.write();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| *k)
-            {
-                inner.map.remove(&victim);
-                inner.stats.evictions += 1;
-            }
+        let clock = inner.tick();
+        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity && inner.evict_lru() {
+            inner.stats.evictions += 1;
         }
         inner.stats.insertions += 1;
         let inserted = inner.stats.insertions;
-        inner.map.insert(
+        inner.put(
             key,
             Slot {
                 entry,
@@ -178,9 +204,8 @@ impl CertStore {
         if inner.map.len() >= self.capacity {
             return; // never evict live results for disk entries
         }
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.insert(
+        let clock = inner.tick();
+        inner.put(
             key,
             Slot {
                 entry,
@@ -288,6 +313,54 @@ mod tests {
         );
         assert!(store.lookup(&key(3)).is_some());
         assert_eq!(store.stats().evictions, 1);
+    }
+
+    #[test]
+    fn eviction_order_matches_a_reference_lru() {
+        // A seeded trace of lookups and inserts over 24 keys into a
+        // 7-entry store, against a recency list kept the obvious way.
+        let store = CertStore::with_capacity(7);
+        let mut reference: Vec<u128> = Vec::new(); // oldest first
+        let mut evictions = 0;
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..5000 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let k = u128::from(seed % 24);
+            let resident = reference.iter().position(|&r| r == k);
+            if seed.is_multiple_of(3) {
+                assert_eq!(
+                    store.lookup(&key(k)).is_some(),
+                    resident.is_some(),
+                    "step {step}"
+                );
+                if let Some(at) = resident {
+                    reference.remove(at);
+                    reference.push(k);
+                }
+            } else {
+                store.insert(key(k), Entry::verdict(step % 2 == 0));
+                match resident {
+                    Some(at) => {
+                        reference.remove(at);
+                    }
+                    None if reference.len() == 7 => {
+                        reference.remove(0);
+                        evictions += 1;
+                    }
+                    None => {}
+                }
+                reference.push(k);
+            }
+            let mut resident: Vec<u128> = store.snapshot().iter().map(|(k, _)| k.0).collect();
+            let mut expected = reference.clone();
+            resident.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(resident, expected, "step {step}");
+        }
+        assert_eq!(store.stats().evictions, evictions);
+        assert!(evictions > 1000);
     }
 
     #[test]

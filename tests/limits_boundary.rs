@@ -6,7 +6,9 @@
 //! Guards against off-by-one regressions in `Checker::with_limit`, the
 //! `ExplicitBackend`, and the SMV driver's explicit compilation.
 
-use compositional_mc::core::{Backend, BackendChoice, BackendError, ExplicitBackend, Target};
+use compositional_mc::core::{
+    Backend, BackendChoice, BackendError, BackendKind, ExplicitBackend, Target,
+};
 use compositional_mc::ctl::{
     CheckError, Checker, ExplicitLimits, Formula, Restriction, MAX_EXPLICIT_PROPS,
 };
@@ -150,26 +152,32 @@ fn smv_explicit_budget_counts_states_not_bits() {
 
 #[test]
 fn smv_driver_auto_routes_by_state_count() {
-    // 3^10 = 59049 ≤ 2^16: Auto keeps the explicit engine even though the
-    // encoding is 20 bits wide.
-    let src = smv_module(10, 0);
-    let out = run_source_with_backend(&src, BackendChoice::Explicit)
+    // The driver plans with the engine's one cost model over the module's
+    // bit width and valid-state count: explicit at or below
+    // AUTO_CROSSOVER_STATES (128), symbolic above it.
+    for (enums, bools, states, kind) in [
+        (0, 7, 128u128, BackendKind::Explicit),
+        (0, 8, 256, BackendKind::Symbolic),
+        (10, 0, 59049, BackendKind::Symbolic),
+    ] {
+        let src = smv_module(enums, bools);
+        let out = run_source_with_backend(&src, BackendChoice::Auto).unwrap();
+        assert!(out.all_true());
+        let bits = 2 * enums + bools;
+        assert_eq!(
+            out.route,
+            Some(BackendChoice::Auto.plan(bits, states)),
+            "{enums} enums + {bools} booleans"
+        );
+        assert_eq!(out.route.unwrap().planned, kind);
+        let engine = match kind {
+            BackendKind::Explicit => "engine: explicit-state",
+            BackendKind::Symbolic => "engine: symbolic (BDD)",
+        };
+        assert!(out.report.contains(engine), "{}", out.report);
+    }
+    // 3^10 states still fit the forced explicit engine's default budget.
+    let out = run_source_with_backend(&smv_module(10, 0), BackendChoice::Explicit)
         .expect("explicit driver must accept a 59049-state model");
     assert!(out.all_true());
-    let out = run_source_with_backend(&src, BackendChoice::Auto).unwrap();
-    assert!(out.all_true());
-    assert!(
-        out.report.contains("explicit"),
-        "auto under the state threshold should pick the explicit engine:\n{}",
-        out.report
-    );
-    // Doubling past 2^16 states flips Auto to the symbolic engine.
-    let wide = smv_module(10, 1);
-    let out = run_source_with_backend(&wide, BackendChoice::Auto).unwrap();
-    assert!(out.all_true());
-    assert!(
-        out.report.contains("symbolic"),
-        "auto past the state threshold should pick the symbolic engine:\n{}",
-        out.report
-    );
 }
